@@ -12,6 +12,7 @@ from .descent import descend_to_vector, wedge_span_lattice
 from .symplectic import residual_check
 from .kfield import quadratic_subspace_example
 from .experiments import ExperimentReport, translate_experiment
+from . import grids  # noqa: F401  (unused by the package; perfbench/tracing.py wraps Grid3)
 
 __all__ = [
     "ExperimentReport",

@@ -3,10 +3,10 @@
 For each sampled parameter s and each time t the lattice g_t u(phi(s)) Z^n
 is built and three numbers are recorded: the sup-norm first minimum, the
 count of nonzero lattice points in the sup ball of the box radius, and the
-flag lambda_1 < eps.  n = 3 runs on the shared fractional-part grid; other
-n (and out-of-budget t) go through reduction plus enumeration, with the
-expanding coordinate recomputed exactly per candidate so that the huge
-e^{(n-1)t} scale never meets float cancellation.
+flag lambda_1 < eps.  Every n and t goes through the same kernel: LLL
+reduction plus enumeration, with the expanding coordinate recomputed per
+candidate from scaled integers, so that the huge e^{(n-1)t} scale never
+meets float cancellation.
 
 Sampling is reproducible across platforms: one Philox substream per sample
 index, seeded as (seed, index), so reports are bit-identical for a fixed
@@ -21,7 +21,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,18 +29,37 @@ from ..errors import BudgetError, InputError
 from ..exact import ExactScalar
 from ..flows import Curve, curve_eval
 from . import reduction
-from .grids import Grid3
 
 _SQRT_BITS = 80
-_sqrt_cache: Dict[int, Fraction] = {}
 
 
-def _sqrt_fraction(d: int) -> Fraction:
-    """sqrt(d) as a Fraction, accurate to 2^-80; used to evaluate the
-    expanding coordinate without catastrophic cancellation."""
-    if d not in _sqrt_cache:
-        _sqrt_cache[d] = Fraction(math.isqrt(d << (2 * _SQRT_BITS)), 1 << _SQRT_BITS)
-    return _sqrt_cache[d]
+def _head_form(phi: Sequence[ExactScalar]) -> Tuple[List[int], int]:
+    """Integers (c, q) with head(z) = (c . z) / q for z in Z^n.
+
+    head(z) = z_0 + sum_j phi_j z_{j+1} is the coordinate that g_t expands.
+    Every phi_j = a_j + b_j sqrt(D_j) goes over the common denominator L of
+    all a_j and b_j, and sqrt(D_j) becomes isqrt(D_j << 2*_SQRT_BITS) over
+    2^_SQRT_BITS (accurate to 2^-80), so q = L * 2^_SQRT_BITS before the
+    common factor is cancelled.  int / int is correctly rounded, so each
+    float head is the nearest double to the rational (c . z) / q, as
+    float(Fraction) of the same value would be.
+    """
+    scale = 1 << _SQRT_BITS
+    den = math.lcm(*(x.denominator for p in phi for x in (p.a, p.b)))
+    coeffs = [den * scale]
+    for p in phi:
+        a = p.a.numerator * (den // p.a.denominator)
+        b = p.b.numerator * (den // p.b.denominator)
+        root = math.isqrt(p.D << (2 * _SQRT_BITS)) if b else 0
+        coeffs.append(a * scale + b * root)
+    g = math.gcd(den * scale, *coeffs)
+    return [c // g for c in coeffs], den * scale // g
+
+
+def _head_value(form: Tuple[Sequence[int], int], z: Sequence[int]) -> float:
+    """head(z) for form = _head_form(phi): one integer sum, one division."""
+    coeffs, q = form
+    return sum(c * zz for c, zz in zip(coeffs, z)) / q
 
 
 def sample_ball(curve: Curve, samples: int, seed: int) -> List[Tuple[float, ...]]:
@@ -61,42 +80,25 @@ def sample_ball(curve: Curve, samples: int, seed: int) -> List[Tuple[float, ...]
 
 
 def _flow_stats(
-    phi: Sequence[ExactScalar],
+    form: Tuple[Sequence[int], int],
     n: int,
     t: float,
     box_radius: float,
     budget: int,
 ) -> Tuple[float, int]:
-    """(sup-norm first minimum, box count) of g_t u(phi) Z^n by reduction."""
-    ds = {p.D for p in phi if p.b != 0}
-    if len(ds) > 1:
-        raise InputError("mixed radicals in one curve are not supported here")
-    sq = _sqrt_fraction(ds.pop()) if ds else None
+    """(sup-norm first minimum, box count) of g_t u(phi) Z^n by reduction,
+    with the head coordinate evaluated from form = _head_form(phi)."""
     e_head = math.exp((n - 1) * t)
     e_tail = math.exp(-t)
-    ra = [Fraction(p.a) for p in phi]
-    rb = [Fraction(p.b) for p in phi]
-
-    def head_val(z: List[int]) -> float:
-        acc = Fraction(z[0])
-        rad = Fraction(0)
-        for j in range(n - 1):
-            zj = z[j + 1]
-            if zj:
-                acc += ra[j] * zj
-                rad += rb[j] * zj
-        if rad:
-            acc += rad * sq
-        return float(acc)
 
     def embed(z: List[int]) -> np.ndarray:
-        v = [e_head * head_val(z)]
+        v = [e_head * _head_value(form, z)]
         v.extend(e_tail * float(zz) for zz in z[1:])
         return np.array(v, dtype=float)
 
     def sup_of(z: List[int]) -> float:
         tail = max(abs(zz) for zz in z[1:]) if n > 1 else 0
-        return max(abs(e_head * head_val(z)), e_tail * tail)
+        return max(abs(e_head * _head_value(form, z)), e_tail * tail)
 
     z, b = reduction.reduce_embedded(embed, n)
     _, lam1 = reduction.sup_first_minimum(z, b, sup_of, budget)
@@ -226,28 +228,19 @@ def translate_experiment(
     t_list = [float(t) for t in t_grid]
     if not t_list:
         raise InputError("empty t grid")
+    if len(set(t_list)) != len(t_list):
+        raise InputError(f"repeated t in the grid: {t_list}")
 
     pts = sample_ball(curve, samples, int(seed))
     n = curve.n
-    grids: Dict[float, Optional[Grid3]] = {}
-    if n == 3:
-        for t in t_list:
-            if t in grids:
-                continue
-            try:
-                grids[t] = Grid3(t, box_radius)
-            except BudgetError:
-                grids[t] = None  # fall back to the reduction path at this t
-
     rows: List[ExperimentRow] = []
     for idx, pt in enumerate(pts):
-        phi = curve_eval(curve, [Fraction(x) for x in pt])
+        form = _head_form(curve_eval(curve, [Fraction(x) for x in pt]))
         for t in t_list:
-            grid = grids.get(t)
-            if grid is not None:
-                lam1, count = grid.stats(float(phi[0]), float(phi[1]))
-            else:
-                lam1, count = _flow_stats(phi, n, t, box_radius, node_budget)
+            try:
+                lam1, count = _flow_stats(form, n, t, box_radius, node_budget)
+            except BudgetError as exc:
+                raise BudgetError(f"sample {idx}, t = {t!r}: {exc}") from exc
             rows.append(
                 ExperimentRow(
                     sample_index=idx,

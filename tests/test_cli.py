@@ -50,11 +50,18 @@ def test_missing_config_file_exits_4(tmp_path):
     assert res.returncode == 4
 
 
-def test_budget_exhaustion_exits_3():
+def test_budget_exhaustion_exits_3(tmp_path):
     res = run_cli("dioph", "approx", "--a", "0.41421356", "--qmax", "100000000",
                   "--budget", "100")
     assert res.returncode == 3
     assert "budget" in res.stderr.lower()
+    # the flow kernel says where it stopped: sample, t and the node budget
+    curve = write_parabola(tmp_path / "p.json")
+    res = run_cli("sim", "translate", "--curve", curve, "--t", "2,4", "--samples", "3",
+                  "--seed", "1", "--budget", "5")
+    assert res.returncode == 3
+    assert "sample 0" in res.stderr and "t = 2.0" in res.stderr
+    assert "node budget (5)" in res.stderr
 
 
 def test_unknown_config_key_exits_2(tmp_path):
@@ -113,6 +120,16 @@ def test_translate_csv_shape_and_determinism(tmp_path):
     lines = body1.decode().strip().split("\n")
     assert len(lines) == 1 + 4 * 2  # header + samples x t-grid
     assert lines[0] == "sample_index,s,t,lambda1,siegel_count,below_eps"
+
+
+def test_translate_rejects_repeated_t(tmp_path):
+    curve = write_parabola(tmp_path / "p.json")
+    out = tmp_path / "r.csv"
+    res = run_cli("sim", "translate", "--curve", curve, "--t", "2,2", "--samples", "2",
+                  "--seed", "1", "--out", str(out))
+    assert res.returncode == 2
+    assert "repeated t" in res.stderr
+    assert not out.exists()
 
 
 def test_translate_seed_required(tmp_path):

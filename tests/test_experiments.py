@@ -1,19 +1,26 @@
 """Sampling, per-sample flow statistics, CSV/JSON emission."""
 
 import json
+import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import oracles
 from latflow.errors import InputError
 from latflow.exact import ExactScalar
-from latflow.flows import Curve
+from latflow.flows import Curve, FlowSpec, make_flow, u_row_float
 from latflow.lab.experiments import (
+    _flow_stats,
+    _head_form,
+    _head_value,
     atomic_write_text,
     sample_ball,
     translate_experiment,
 )
+from latflow.lab.reduction import DEFAULT_NODE_BUDGET, siegel_count
 
 
 def _parabola(radius=1.0):
@@ -99,6 +106,13 @@ def test_validation():
         translate_experiment(c, [], samples=1, eps=0.1, box_radius=1.0, seed=1)
 
 
+def test_repeated_t_is_rejected():
+    # a repeated t would write its rows twice and give two aggregate blocks
+    with pytest.raises(InputError, match="repeated t"):
+        translate_experiment(_parabola(), [2.0, 1.0, 2.0], samples=1, eps=0.1,
+                             box_radius=1.0, seed=1)
+
+
 def test_atomic_write(tmp_path):
     target = tmp_path / "out.json"
     atomic_write_text(str(target), json.dumps({"ok": True}))
@@ -111,7 +125,7 @@ def test_atomic_write(tmp_path):
 
 
 def test_four_dimensional_path():
-    """n = 4 goes through the embedded-reduction branch rather than the grid."""
+    """n = 4 goes through the same embedded-reduction kernel as n = 3."""
     one = ExactScalar(1)
     curve = Curve(n=4, k=1, coords=[[((1,), one)], [((2,), one)], [((3,), one)]])
     rep = translate_experiment(curve, [0.0, 0.5], samples=3, eps=0.1, box_radius=1.2, seed=4)
@@ -119,3 +133,115 @@ def test_four_dimensional_path():
     for row in rep.rows:
         assert 0.0 < row.lambda1 <= 1.0 + 1e-12  # Minkowski still binds
         assert row.siegel_count % 2 == 0
+
+
+def test_negative_time_at_n3():
+    """n = 3 takes t < 0 like every other n, and its minima match the scan."""
+    rep = translate_experiment(_parabola(), [-1.0], samples=6, eps=0.1, box_radius=1.5, seed=12)
+    assert len(rep.rows) == 6
+    for row in rep.rows:
+        (s,) = row.s
+        assert row.lambda1 == pytest.approx(
+            oracles.lambda1_sup_naive_n3(-1.0, s, s * s), abs=1e-9
+        )
+
+
+def _stats_n3(t, v1, v2, radius):
+    form = _head_form([ExactScalar(Fraction(v1)), ExactScalar(Fraction(v2))])
+    return _flow_stats(form, 3, t, radius, DEFAULT_NODE_BUDGET)
+
+
+def test_flow_kernel_lambda1_matches_dense_scan():
+    rng = np.random.default_rng(80)
+    for _ in range(12):
+        t = float(rng.uniform(0.0, 2.2))
+        v1, v2 = (float(x) for x in rng.uniform(-3, 3, size=2))
+        assert _stats_n3(t, v1, v2, 1.5)[0] == pytest.approx(
+            oracles.lambda1_sup_naive_n3(t, v1, v2), abs=1e-9
+        )
+
+
+def test_flow_kernel_box_count_matches_matrix_path():
+    """The kernel's Siegel count must equal the generic reduction pipeline's
+    count on the explicit flowed basis."""
+    rng = np.random.default_rng(81)
+    for _ in range(10):
+        t = float(rng.uniform(0.0, 1.8))
+        v1, v2 = (float(x) for x in rng.uniform(-2, 2, size=2))
+        radius = float(rng.choice([0.8, 1.0, 1.5]))
+        basis = make_flow(FlowSpec("g", 3), t) @ u_row_float([v1, v2])
+        assert _stats_n3(t, v1, v2, radius)[1] == siegel_count(basis, radius)
+
+
+def _fraction_head(phi, z):
+    """The head z_0 + sum_j phi_j z_{j+1} in Fraction arithmetic, with
+    each sqrt(D) taken to 80 bits as the kernel does."""
+    acc = Fraction(z[0])
+    for p, zz in zip(phi, z[1:]):
+        acc += p.a * zz
+        if p.b:
+            acc += p.b * zz * Fraction(math.isqrt(p.D << 160), 1 << 80)
+    return float(acc)
+
+
+def _assert_heads_agree(phi, rng, trials=300):
+    form = _head_form(phi)
+    for i in range(trials):
+        scale = 10 ** int(rng.integers(1, 13))
+        z = [int(x) for x in rng.integers(-scale, scale + 1, size=len(phi) + 1)]
+        if i % 2:
+            # cancel the integer part so the head is a small fractional part
+            z[0] = -math.floor(sum(float(p) * zz for p, zz in zip(phi, z[1:])))
+        want = _fraction_head(phi, z)
+        got = _head_value(form, z)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (phi, z)
+
+
+def test_integer_head_matches_fraction_head():
+    rng = np.random.default_rng(90)
+    # random integer phi
+    for _ in range(5):
+        phi = [ExactScalar(int(x)) for x in rng.integers(-50, 51, size=3)]
+        _assert_heads_agree(phi, rng)
+    # mixed rational denominators, including the binary ones of sampled floats
+    for _ in range(5):
+        phi = [ExactScalar(Fraction(int(rng.integers(-99, 100)), int(rng.integers(1, 60))))
+               for _ in range(3)]
+        phi.append(ExactScalar(Fraction(float(rng.uniform(-1, 1))) ** 3))
+        _assert_heads_agree(phi, rng)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 7])
+def test_integer_head_matches_fraction_head_over_quadratic_fields(d):
+    if d in (3, 6):
+        # Fraction reduces the scaled root of these D below 2^80; the
+        # integer form must not assume that denominator
+        assert Fraction(math.isqrt(d << 160), 1 << 80).denominator < 1 << 80
+    rng = np.random.default_rng(91 + d)
+    for _ in range(4):
+        phi = []
+        for _ in range(3):
+            a = Fraction(int(rng.integers(-30, 31)), int(rng.integers(1, 20)))
+            b = Fraction(int(rng.integers(-30, 31)), int(rng.integers(1, 20)))
+            phi.append(ExactScalar(a, b, d))
+        phi.append(ExactScalar(Fraction(float(rng.uniform(-1, 1)))))
+        _assert_heads_agree(phi, rng)
+
+
+def test_integer_head_over_several_quadratic_fields():
+    rng = np.random.default_rng(97)
+    phi = [ExactScalar(Fraction(1, 3), 2, 2), ExactScalar(0, Fraction(-5, 7), 3),
+           ExactScalar(Fraction(4, 9), 1, 6)]
+    _assert_heads_agree(phi, rng)
+
+
+def test_coordinates_in_different_quadratic_fields():
+    """phi(s) = (sqrt(2) s, sqrt(3) s): each coordinate has its own field."""
+    curve = Curve(n=3, k=1, coords=[[((1,), ExactScalar.sqrt(2))],
+                                    [((1,), ExactScalar.sqrt(3))]])
+    rep = translate_experiment(curve, [0.5, 1.5], samples=4, eps=0.1, box_radius=1.5, seed=3)
+    for row in rep.rows:
+        (s,) = row.s
+        assert row.lambda1 == pytest.approx(
+            oracles.lambda1_sup_naive_n3(row.t, math.sqrt(2) * s, math.sqrt(3) * s), abs=1e-9
+        )
