@@ -79,6 +79,18 @@ def sample_ball(curve: Curve, samples: int, seed: int) -> List[Tuple[float, ...]
     return pts
 
 
+def _flow_scales(n: int, t: float) -> Tuple[float, float]:
+    """(e^{(n-1)t}, e^{-t}), the scales of g_t; InputError unless finite."""
+    try:
+        scales = (math.exp((n - 1) * t), math.exp(-t))
+    except OverflowError:
+        scales = (math.inf, math.inf)
+    if not all(map(math.isfinite, scales)):
+        raise InputError(f"t = {t!r} is out of range for n = {n}: "
+                         "e^((n-1)t) or e^(-t) is not a finite double")
+    return scales
+
+
 def _flow_stats(
     form: Tuple[Sequence[int], int],
     n: int,
@@ -88,8 +100,7 @@ def _flow_stats(
 ) -> Tuple[float, int]:
     """(sup-norm first minimum, box count) of g_t u(phi) Z^n by reduction,
     with the head coordinate evaluated from form = _head_form(phi)."""
-    e_head = math.exp((n - 1) * t)
-    e_tail = math.exp(-t)
+    e_head, e_tail = _flow_scales(n, t)
 
     def embed(z: List[int]) -> np.ndarray:
         v = [e_head * _head_value(form, z)]
@@ -221,8 +232,8 @@ def translate_experiment(
         raise InputError("need at least one sample")
     if not eps > 0:
         raise InputError("eps must be positive")
-    if not box_radius > 0:
-        raise InputError("box radius must be positive")
+    if not 0 < box_radius < math.inf:
+        raise InputError(f"box radius must be positive and finite, got {box_radius!r}")
     if seed is None:
         raise InputError("a seed is required for sampling")
     t_list = [float(t) for t in t_grid]
@@ -230,9 +241,11 @@ def translate_experiment(
         raise InputError("empty t grid")
     if len(set(t_list)) != len(t_list):
         raise InputError(f"repeated t in the grid: {t_list}")
+    n = curve.n
+    for t in t_list:
+        _flow_scales(n, t)
 
     pts = sample_ball(curve, samples, int(seed))
-    n = curve.n
     rows: List[ExperimentRow] = []
     for idx, pt in enumerate(pts):
         form = _head_form(curve_eval(curve, [Fraction(x) for x in pt]))

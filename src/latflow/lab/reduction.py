@@ -9,6 +9,13 @@ usual one, but callers whose basis has a huge dynamic range (diagonal flows
 at large t) can pass a refresh callback that recomputes a column's floats
 from its integer coordinates with exact arithmetic, so rounding never
 accumulates across column operations.
+
+LLL keeps the Gram-Schmidt rows (b*, mu, |b*|^2) across sweeps, valid for
+rows 0..valid-1.  Row i reads only columns 0..i, so a size reduction of
+column k invalidates row k and a swap at k rows k-1 and k, each with every
+later row.  A sweep at k recomputes rows valid..k with the routine that
+gram_schmidt runs: the same float operations on the same inputs as a full
+pass, so the result is bit-identical to recomputing in every sweep.
 """
 
 from __future__ import annotations
@@ -24,15 +31,11 @@ DEFAULT_NODE_BUDGET = 5_000_000
 _LLL_MAX_SWEEPS = 100_000
 
 
-def gram_schmidt(b: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column Gram-Schmidt: returns (bstar, mu, norms2) with b*_i the
-    orthogonalized columns and mu[i, j] = <b_i, b*_j>/<b*_j, b*_j>."""
-    b = np.asarray(b, dtype=float)
-    n, m = b.shape
-    bstar = np.zeros((n, m))
-    mu = np.zeros((m, m))
-    norms2 = np.zeros(m)
-    for i in range(m):
+def _gs_rows(b: np.ndarray, bstar: np.ndarray, mu: np.ndarray, norms2: np.ndarray,
+             start: int, stop: int) -> None:
+    """Gram-Schmidt rows start..stop-1 of the columns of b, in place; row i
+    reads only columns 0..i of b and rows 0..i-1."""
+    for i in range(start, stop):
         v = b[:, i].copy()
         for j in range(i):
             mu[i, j] = np.dot(b[:, i], bstar[:, j]) / norms2[j]
@@ -41,6 +44,17 @@ def gram_schmidt(b: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         norms2[i] = np.dot(v, v)
         if not norms2[i] > 0 or not math.isfinite(norms2[i]):
             raise InputError("basis columns are dependent or singular")
+
+
+def gram_schmidt(b: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column Gram-Schmidt: returns (bstar, mu, norms2) with b*_i the
+    orthogonalized columns and mu[i, j] = <b_i, b*_j>/<b*_j, b*_j>."""
+    b = np.asarray(b, dtype=float)
+    n, m = b.shape
+    bstar = np.zeros((n, m))
+    mu = np.zeros((m, m))
+    norms2 = np.zeros(m)
+    _gs_rows(b, bstar, mu, norms2, 0, m)
     return bstar, mu, norms2
 
 
@@ -58,6 +72,8 @@ def _lll_core(
     z: List[List[int]] = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
     cols = [embed(c) for c in z]
     b = np.stack(cols, axis=1)
+    bstar, mu, norms2 = gram_schmidt(b)  # dependent columns fail before any step
+    valid = ncols  # rows 0..valid-1 of (bstar, mu, norms2) describe b
 
     k = 1
     sweeps = 0
@@ -65,8 +81,9 @@ def _lll_core(
         sweeps += 1
         if sweeps > _LLL_MAX_SWEEPS:
             raise InvariantError("LLL did not terminate within the sweep cap")
-        _, mu, norms2 = gram_schmidt(b)
-        # size-reduce column k against k-1 .. 0, updating mu rows locally
+        _gs_rows(b, bstar, mu, norms2, valid, k + 1)
+        valid = k + 1
+        # size-reduce column k against k-1 .. 0, updating mu row k locally
         for j in range(k - 1, -1, -1):
             r = mu[k, j]
             if not math.isfinite(r):
@@ -74,15 +91,18 @@ def _lll_core(
             ri = int(round(r))
             if ri:
                 z[k] = [zk - ri * zj for zk, zj in zip(z[k], z[j])]
-                b[:, k] = embed(z[k])
                 for i in range(j):
                     mu[k, i] -= ri * mu[j, i]
                 mu[k, j] -= ri
+                valid = k
+        if valid == k:  # column k moved; b[:, k] is not read above
+            b[:, k] = embed(z[k])
         if norms2[k] >= (delta - mu[k, k - 1] ** 2) * norms2[k - 1]:
             k += 1
         else:
             z[k], z[k - 1] = z[k - 1], z[k]
             b[:, [k - 1, k]] = b[:, [k, k - 1]]
+            valid = k - 1
             k = max(k - 1, 1)
     return z, b
 
@@ -242,8 +262,8 @@ def reduce_embedded(
 
 
 def _coords(z: List[List[int]], zc: np.ndarray) -> List[int]:
-    ncols = len(z)
-    return [int(sum(z[i][r] * int(zc[i]) for i in range(ncols))) for r in range(ncols)]
+    c = zc.tolist()
+    return [sum(zi * ci for zi, ci in zip(col, c)) for col in zip(*z)]
 
 
 def sup_first_minimum(

@@ -113,6 +113,52 @@ def box_count_naive(basis, radius):
     return count
 
 
+def gram_schmidt_full(b):
+    """(mu, norms2) of the columns of b, every row computed afresh."""
+    n, m = b.shape
+    bstar = np.zeros((n, m))
+    mu = np.zeros((m, m))
+    norms2 = np.zeros(m)
+    for i in range(m):
+        v = b[:, i].copy()
+        for j in range(i):
+            mu[i, j] = np.dot(b[:, i], bstar[:, j]) / norms2[j]
+            v -= mu[i, j] * bstar[:, j]
+        bstar[:, i] = v
+        norms2[i] = np.dot(v, v)
+    return mu, norms2
+
+
+def lll_full_recompute(embed, ncols, delta=0.99):
+    """Textbook LLL on the columns embed(e_0), ..., embed(e_{ncols-1}).
+
+    The whole Gram-Schmidt state is recomputed at every sweep and column k
+    is re-embedded after every single size-reduction step.  The float
+    operations on each row are the ones a cached kernel must reproduce, on
+    the same column layout, so its (z, b) must match this one bit for bit.
+    Returns (z, b) with z[i] the integer coordinates of reduced column i.
+    """
+    z = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
+    b = np.stack([embed(c) for c in z], axis=1)
+    k = 1
+    while k < ncols:
+        mu, norms2 = gram_schmidt_full(b)
+        for j in range(k - 1, -1, -1):
+            q = int(round(mu[k, j]))
+            if q:
+                z[k] = [a - q * c for a, c in zip(z[k], z[j])]
+                b[:, k] = embed(z[k])
+                mu[k, :j] -= q * mu[j, :j]
+                mu[k, j] -= q
+        if norms2[k] >= (delta - mu[k, k - 1] ** 2) * norms2[k - 1]:
+            k += 1
+        else:
+            z[k - 1], z[k] = z[k], z[k - 1]
+            b[:, [k - 1, k]] = b[:, [k, k - 1]]
+            k = max(k - 1, 1)
+    return z, b
+
+
 def lambda1_sup_naive_n3(t, v1, v2):
     """Sup-norm first minimum of g_t u(v) Z^3 by direct (b, c) scanning.
 

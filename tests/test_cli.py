@@ -37,12 +37,20 @@ def test_ext_prints_the_frozen_column():
     assert res.stdout.split() == ["-2", "1", "-4", "3", "2"]
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(tmp_path):
     assert run_cli("dioph", "ext", "--n", "5", "--a", "1,2;3,4").returncode == 2
     assert run_cli("dioph", "approx").returncode == 2  # missing required --a
     assert run_cli("nonsense").returncode == 2
     assert run_cli("dioph", "probe", "--a", "0.5", "--r", "2", "--qmax", "100",
                    "--target", "X").returncode == 2
+    # t or the box radius out of range: exit 2 naming the value, no traceback
+    curve = write_parabola(tmp_path / "p.json")
+    for argv, named in ((["--t=1e3"], "t = 1000.0"), (["--t=nan"], "t = nan"),
+                        (["--t", "1", "--radius=inf"], "radius")):
+        res = run_cli("sim", "translate", "--curve", curve, "--samples", "2",
+                      "--seed", "1", *argv)
+        assert res.returncode == 2, res.stderr
+        assert named in res.stderr and "Traceback" not in res.stderr
 
 
 def test_missing_config_file_exits_4(tmp_path):

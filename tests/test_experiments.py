@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -104,6 +105,20 @@ def test_validation():
         translate_experiment(c, [0.0], samples=1, eps=0.1, box_radius=1.0, seed=None)
     with pytest.raises(InputError):
         translate_experiment(c, [], samples=1, eps=0.1, box_radius=1.0, seed=1)
+
+
+def test_t_and_radius_out_of_range_are_rejected():
+    # at n = 3, t = 400 overflows only the head scale e^{(n-1)t} = e^800
+    cases = [([1e3], 1.0, "t = 1000.0 is out of range for n = 3"),
+             ([1.0, 400.0], 1.0, "t = 400.0 is out of range for n = 3"),
+             ([-800.0], 1.0, "t = -800.0 is out of range"),
+             ([math.nan], 1.0, "t = nan"),
+             ([math.inf], 1.0, "t = inf"),
+             ([1.0], math.inf, "box radius must be positive and finite, got inf")]
+    for t_grid, radius, message in cases:
+        with pytest.raises(InputError, match=re.escape(message)):
+            translate_experiment(_parabola(), t_grid, samples=1, eps=0.1,
+                                 box_radius=radius, seed=1)
 
 
 def test_repeated_t_is_rejected():

@@ -1,12 +1,16 @@
 """Lattice reduction and enumeration, cross-checked against dense scans."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oracles
 from latflow.errors import BudgetError, InputError
+from latflow.exact import ExactScalar
+from latflow.flows import Curve, curve_eval
+from latflow.lab.experiments import _head_form, _head_value
 from latflow.lab.reduction import (
     enumerate_ball,
     lll_reduce,
@@ -164,3 +168,82 @@ def test_embedded_reduction_round_trip():
                 continue
             best = min(best, float(np.max(np.abs(basis @ zz.astype(float)))))
         assert val <= best + 1e-9
+
+
+def _random_bases(rng, count):
+    """Random well-conditioned float bases, n = 2..6, with skewed columns."""
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(2, 7))
+        basis = rng.uniform(-3, 3, size=(n, n)) * 10.0 ** rng.integers(-2, 3, size=n)
+        if abs(np.linalg.det(basis)) > 1e-6 * np.prod(np.linalg.norm(basis, axis=0)):
+            out.append(basis)
+    return out
+
+
+def _knapsack_bases(rng, count):
+    """Identity under a row of integers up to 1e12 (the subset-sum lattice):
+    size reduction makes columns shrink by twelve orders of magnitude, so a
+    Gram-Schmidt row left stale by a column operation changes the pivots."""
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(3, 7))
+        basis = np.eye(n)
+        basis[0, :] = np.round(rng.uniform(-1e12, 1e12, size=n))
+        out.append(basis)
+    return out
+
+
+def _flow_embed(n, t, s):
+    """The embedding _flow_stats reduces: g_t u(phi(s)) on the moment curve."""
+    one = ExactScalar(1)
+    curve = Curve(n=n, k=1, coords=[[((j,), one)] for j in range(1, n)], radius=1.0)
+    form = _head_form(curve_eval(curve, [s]))
+    e_head, e_tail = math.exp((n - 1) * t), math.exp(-t)
+
+    def embed(z):
+        return np.array([e_head * _head_value(form, z)] + [e_tail * float(c) for c in z[1:]])
+
+    return embed
+
+
+def _assert_lll_reduced(b, delta=0.99):
+    mu, norms2 = oracles.gram_schmidt_full(b)
+    m = b.shape[1]
+    for i in range(m):
+        for j in range(i):
+            assert abs(mu[i, j]) <= 0.5 + 1e-9
+    for k in range(1, m):
+        assert norms2[k] >= (delta - mu[k, k - 1] ** 2) * norms2[k - 1] * (1 - 1e-9)
+
+
+def _lll_cases():
+    rng = np.random.default_rng(74)
+    for basis in _random_bases(rng, 120) + _knapsack_bases(rng, 60):
+        yield basis.shape[1], lambda z, basis=basis: basis @ np.asarray(z, dtype=float), basis
+    for n in (3, 4, 6):
+        for t in (0.0, 0.5, 2.0, 4.0, 6.0, 8.0):
+            for _ in range(4):
+                s = Fraction(int(rng.integers(-997, 998)), 997)
+                yield n, _flow_embed(n, t, s), None
+
+
+def test_lll_kernel_matches_full_recompute_oracle_bit_for_bit():
+    """The kernel caches Gram-Schmidt rows across sweeps; a fresh pass every
+    sweep must reach the same z and the same float bits."""
+    for ncols, embed, basis in _lll_cases():
+        z_ref, b_ref = oracles.lll_full_recompute(embed, ncols)
+        z, b = reduce_embedded(embed, ncols)
+        assert z == z_ref
+        assert b.tobytes() == b_ref.tobytes()
+        if basis is not None:
+            red, transform = lll_with_transform(basis)
+            assert transform == z_ref
+            assert red.tobytes() == b_ref.tobytes()
+
+
+def test_lll_kernel_output_is_lll_reduced():
+    # lll_with_transform returns these same bits (test above)
+    for ncols, embed, _ in _lll_cases():
+        _, b = reduce_embedded(embed, ncols)
+        _assert_lll_reduced(b)
