@@ -3,8 +3,8 @@
 Membership in the approximation sets W_r / W'_r (inhomogeneous form
 ||A q + p|| <= C ||q||^(-r), sup norms) can only be certified exactly for
 rational targets; everything else is graded evidence from finite searches.
-Float scans rank candidates; exact arithmetic confirms certificates. The two
-routes are kept separate on purpose.
+Float targets are ranked in floats and rational targets on exact integer
+residuals; exact arithmetic confirms certificates.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -71,12 +70,14 @@ def best_approximations(
 ) -> List[ApproxRecord]:
     """Successive minima of q -> min_p ||A q + p|| over sup-norm shells of q.
 
-    Shells are walked in increasing sup norm, points inside a shell in lex
-    order with the sign normalized (first nonzero coordinate positive; -q
-    duplicates q). A record is kept when its residual strictly beats every
-    smaller shell. For exact rational input the denominator-clearing zero
-    certificate is spliced in at its own shell, so the list always ends with
-    an exact zero when one is in range.
+    Shells are walked in increasing sup norm, each ranked whole, one q of each
+    +-q pair. A shell's minimum is a record when its residual strictly beats
+    every smaller shell; within a shell a tie goes to the lexicographically
+    first q with its first nonzero coordinate positive. Rational input is
+    ranked on exact residuals, so exact ties are ties; float input in floats.
+    For exact rational input the denominator-clearing zero certificate is
+    spliced in at its own shell, so the list always ends with an exact zero
+    when one is in range.
     """
     af = _as_float_matrix(a)
     m, ell = af.shape
@@ -109,50 +110,99 @@ def _shell_walk(af, exact, qmax, budget) -> List[ApproxRecord]:
         raise BudgetError(
             f"shell enumeration needs {total} points for qmax={qmax}, budget={budget}"
         )
+    scaled = _scaled_target(exact, qmax, ell)
     records: List[ApproxRecord] = []
     best = math.inf
     for h in range(1, qmax + 1):
-        shell_best = None
-        for q in product(range(-h, h + 1), repeat=ell):
-            if max(abs(c) for c in q) != h:
-                continue
-            first = next(c for c in q if c)
-            if first < 0:
-                continue
-            vals = af @ np.asarray(q, dtype=float)
-            p = -np.round(vals)
-            res = float(np.max(np.abs(vals + p)))
-            if shell_best is None or res < shell_best[0]:
-                shell_best = (res, q, tuple(int(x) for x in p))
-        if shell_best is not None and shell_best[0] < best:
-            best = shell_best[0]
-            records.append(_finalize_record(af, h, shell_best[1], shell_best[2], exact))
+        qs = _shell_points(h, ell)
+        keys = _residual_keys(qs, af, scaled)
+        low = keys.min()
+        if low < best:
+            best = low
+            q = min(_sign_normalized(c) for c in qs[keys == low].tolist())
+            records.append(_finalize_record(af, h, q, _nearest_p(q, af, scaled), exact))
             if records[-1].exact_zero:
                 break
     return records
 
 
+def _shell_points(h: int, ell: int) -> np.ndarray:
+    """One q of each +-q pair with sup norm h, as a (k, ell) int array.
+
+    Face j holds q_j = h with the earlier coordinates in (-h, h) and the later
+    ones in [-h, h], so each pair appears once, as the member whose first
+    coordinate of absolute value h is positive.
+    """
+    inner, full = np.arange(1 - h, h), np.arange(-h, h + 1)
+    faces = [
+        np.stack(
+            np.meshgrid(*[inner] * j, [h], *[full] * (ell - 1 - j), indexing="ij"),
+            axis=-1,
+        ).reshape(-1, ell)
+        for j in range(ell)
+    ]
+    return np.concatenate(faces)
+
+
+def _sign_normalized(q: Sequence[int]) -> Tuple[int, ...]:
+    """The member of +-q whose first nonzero coordinate is positive."""
+    first = next(c for c in q if c)
+    return tuple(q) if first > 0 else tuple(-c for c in q)
+
+
+def _scaled_target(exact, qmax: int, ell: int):
+    """Integer form (N, L) of a rational target, N = L A with L the lcm of the
+    denominators, so the residual of q is dist(N q, L Z) / L exactly; None
+    for a float target. N is int64 while |N q| + L stays below 2^62 for every
+    q up to qmax, and Python ints (object dtype) beyond."""
+    if exact is None:
+        return None
+    fracs = [[x.as_fraction() for x in row] for row in exact.rows]
+    den = math.lcm(*(f.denominator for row in fracs for f in row))
+    nums = [[int(f * den) for f in row] for row in fracs]
+    bound = den + max(abs(v) for row in nums for v in row) * qmax * ell
+    return np.array(nums, dtype=np.int64 if bound < 2**62 else object), den
+
+
+def _residual_keys(qs: np.ndarray, af: np.ndarray, scaled) -> np.ndarray:
+    """Rank key of max_i |A q + p|_i (p nearest) for each row q of qs: the
+    float residual, or for a rational target its exact numerator over L."""
+    if scaled is None:
+        vals = qs @ af.T
+        return np.max(np.abs(vals - np.round(vals)), axis=1)
+    nums, den = scaled
+    rem = (qs @ nums.T) % den
+    return np.max(np.minimum(rem, den - rem), axis=1)
+
+
+def _nearest_p(q: Tuple[int, ...], af: np.ndarray, scaled) -> Tuple[int, ...]:
+    """p = -round(A q), halves to even, in the arithmetic the walk ranks in."""
+    if scaled is None:
+        return tuple(int(x) for x in -np.round(af @ np.asarray(q, dtype=float)))
+    nums, den = scaled
+    return tuple(
+        -round(Fraction(sum(int(n) * c for n, c in zip(row, q)), den)) for row in nums
+    )
+
+
 def _best_approx_1d(af, exact, qmax, budget) -> List[ApproxRecord]:
     if qmax > budget:
         raise BudgetError(f"qmax={qmax} exceeds enumeration budget {budget}")
-    col = af[:, 0]
+    scaled = _scaled_target(exact, qmax, 1)
     records: List[ApproxRecord] = []
     best = math.inf
     chunk = 1 << 20
     for lo in range(1, qmax + 1, chunk):
-        qs = np.arange(lo, min(lo + chunk, qmax + 1), dtype=float)
-        vals = col[:, None] * qs[None, :]
-        ps = -np.round(vals)
-        res = np.max(np.abs(vals + ps), axis=0)
+        qs = np.arange(lo, min(lo + chunk, qmax + 1))[:, None]
+        res = _residual_keys(qs, af, scaled)
         run = np.minimum.accumulate(res)
-        prev = np.concatenate(([best], run[:-1]))
-        hits = np.nonzero(res < prev)[0]
-        for i in hits:
+        # index 0 and the strict running minima of the chunk; best filters them
+        for i in [0, *(np.flatnonzero(res[1:] < run[:-1]) + 1)]:
             if res[i] < best:
-                best = float(res[i])
-                q = int(qs[i])
-                p = tuple(int(x) for x in ps[:, i])
-                records.append(_finalize_record(af, q, (q,), p, exact))
+                best = res[i]
+                q = (int(qs[i, 0]),)
+                p = _nearest_p(q, af, scaled)
+                records.append(_finalize_record(af, q[0], q, p, exact))
                 if records[-1].exact_zero:
                     return records
     return records

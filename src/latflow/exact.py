@@ -417,10 +417,6 @@ class ExactMatrix:
             raise ExactError("matrix is singular")
         return ExactMatrix([red.rows[i][n:] for i in range(n)])
 
-    def solve(self, rhs: Sequence) -> List[ExactScalar]:
-        """Solve self @ x = rhs for square invertible self."""
-        return self.inverse().apply(rhs)
-
     def to_float(self):
         import numpy as np
 

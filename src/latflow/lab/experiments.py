@@ -80,14 +80,15 @@ def sample_ball(curve: Curve, samples: int, seed: int) -> List[Tuple[float, ...]
 
 
 def _flow_scales(n: int, t: float) -> Tuple[float, float]:
-    """(e^{(n-1)t}, e^{-t}), the scales of g_t; InputError unless finite."""
+    """(e^{(n-1)t}, e^{-t}), the scales of g_t; InputError unless they and
+    their squares (the reduction's squared norms) are finite and nonzero."""
     try:
         scales = (math.exp((n - 1) * t), math.exp(-t))
     except OverflowError:
         scales = (math.inf, math.inf)
-    if not all(map(math.isfinite, scales)):
-        raise InputError(f"t = {t!r} is out of range for n = {n}: "
-                         "e^((n-1)t) or e^(-t) is not a finite double")
+    if not all(math.isfinite(s * s) and s * s > 0 for s in scales):
+        raise InputError(f"t = {t!r} is out of range for n = {n}: e^((n-1)t) "
+                         "or e^(-t) or its square is not a finite nonzero double")
     return scales
 
 

@@ -287,6 +287,39 @@ def dirichlet_lf_naive(x, delta, big_t):
     return None
 
 
+def best_approximations_naive(a, qmax):
+    """Successive minima of q -> max_i |(A q)_i + p_i| (p nearest, halves to
+    even) over sup-norm shells, by scanning the whole cube [-qmax, qmax]^l
+    point by point in lex order and keeping one q of each +-q pair (first
+    nonzero coordinate positive).  Rows of ints and Fractions are ranked in
+    Fraction arithmetic, anything else in Python floats.  Within a shell the
+    lex-first minimum wins; a shell's minimum is a record when it beats every
+    smaller shell strictly; the scan stops at a zero residual.  Returns
+    (qnorm, q, p, residual) tuples."""
+    exact = all(isinstance(x, (int, Fraction)) for row in a for x in row)
+    rows = [[Fraction(x) if exact else float(x) for x in row] for row in a]
+    ell = len(rows[0])
+    shell_best = {}
+    for q in product(range(-qmax, qmax + 1), repeat=ell):
+        nonzero = [c for c in q if c]
+        if not nonzero or nonzero[0] < 0:
+            continue
+        vals = [sum(x * c for x, c in zip(row, q)) for row in rows]
+        p = tuple(-round(v) for v in vals)
+        res = max(abs(v + pi) for v, pi in zip(vals, p))
+        h = max(abs(c) for c in q)
+        if h not in shell_best or res < shell_best[h][2]:
+            shell_best[h] = (q, p, res)
+    out = []
+    for h in range(1, qmax + 1):
+        q, p, res = shell_best[h]
+        if not out or res < out[-1][3]:
+            out.append((h, q, p, res))
+            if res == 0:
+                break
+    return out
+
+
 # -- descent -------------------------------------------------------------------
 
 

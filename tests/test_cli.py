@@ -45,7 +45,10 @@ def test_usage_errors_exit_2(tmp_path):
                    "--target", "X").returncode == 2
     # t or the box radius out of range: exit 2 naming the value, no traceback
     curve = write_parabola(tmp_path / "p.json")
+    # t = 200 and -400: the scales are finite, but e^800 overflows and e^-800 is 0
     for argv, named in ((["--t=1e3"], "t = 1000.0"), (["--t=nan"], "t = nan"),
+                        (["--t=200"], "t = 200.0 is out of range for n = 3"),
+                        (["--t=-400"], "t = -400.0 is out of range for n = 3"),
                         (["--t", "1", "--radius=inf"], "radius")):
         res = run_cli("sim", "translate", "--curve", curve, "--samples", "2",
                       "--seed", "1", *argv)

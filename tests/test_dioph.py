@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from latflow import dioph
 from latflow.dioph import (
     CERTIFIED_MEMBER,
     EVIDENCE_MEMBER,
@@ -55,12 +56,101 @@ def test_minima_monotone():
     rng = np.random.default_rng(50)
     for _ in range(40):
         m = int(rng.integers(1, 3))
-        ell = int(rng.integers(1, 3))
+        ell = int(rng.integers(1, 4))
         a = rng.uniform(-1, 1, size=(m, ell)).tolist()
         recs = best_approximations(a, 60)
         for prev, nxt in zip(recs, recs[1:]):
             assert nxt.qnorm > prev.qnorm
             assert nxt.residual < prev.residual
+
+
+def test_float_records_match_naive_scan():
+    """Float targets: the batched shell walk finds the whole-cube scan's
+    records (same q and p; residuals up to float summation order)."""
+    rng = np.random.default_rng(57)
+    for ell, m, qmax in ((2, 1, 15), (2, 2, 15), (3, 1, 6), (3, 2, 6)):
+        for _ in range(6):
+            a = rng.uniform(-1, 1, size=(m, ell)).tolist()
+            got = best_approximations(a, qmax)
+            want = oracles.best_approximations_naive(a, qmax)
+            assert [(r.qnorm, r.q, r.p) for r in got] == [w[:3] for w in want]
+            for rec, w in zip(got, want):
+                assert rec.residual == pytest.approx(w[3], rel=1e-12, abs=1e-15)
+
+
+def _check_rational_records(a, qmax):
+    """Records of a Fraction target equal the exact whole-cube scan's, apart
+    from the spliced zero certificate (the scan may reach another zero q in
+    that shell), and their residuals fall strictly in exact arithmetic."""
+    recs = best_approximations(ExactMatrix(a), qmax)
+    want = oracles.best_approximations_naive(a, qmax)
+    got = recs
+    if recs and recs[-1].q == rational_certificate(ExactMatrix(a))[0]:
+        assert recs[-1].exact_zero and want[-1][0] == recs[-1].qnorm and want[-1][3] == 0
+        got, want = recs[:-1], want[:-1]
+    assert [(r.qnorm, r.q, r.p, r.residual) for r in got] == [
+        (h, q, p, float(res)) for h, q, p, res in want
+    ]
+    exact = [
+        max(abs(sum(x * c for x, c in zip(row, rec.q)) + pi) for row, pi in zip(a, rec.p))
+        for rec in recs
+    ]
+    assert all(nxt < prev for prev, nxt in zip(exact, exact[1:]))
+    return recs
+
+
+def test_rational_records_match_naive_scan():
+    """Small denominators make exact ties common; only a strict improvement
+    in exact arithmetic is a record, and the lex-first q wins a tie."""
+    rng = np.random.default_rng(58)
+    for m, ell, qmax in ((1, 1, 60), (2, 1, 60), (1, 2, 12), (2, 2, 12), (1, 3, 5)):
+        for _ in range(25):
+            den = int(rng.integers(1, 14))
+            a = [[Fraction(int(rng.integers(-den, den + 1)), den) for _ in range(ell)]
+                 for _ in range(m)]
+            _check_rational_records(a, qmax)
+
+
+@pytest.mark.parametrize("target, qmax, shells", [
+    ("2/3", 10, [1, 3]),
+    ("1/5", 10, [1, 5]),
+    ("1/2,14/31;-5/12,-4/5", 12, [1, 2, 3, 11, 12]),
+])
+def test_exact_ties_are_not_records(target, qmax, shells):
+    # float ranking listed q = 2 (2/3), q = 4 (1/5) and shell 9 (the matrix),
+    # each tying the previous record's residual exactly
+    a = [[Fraction(x) for x in row.split(",")] for row in target.split(";")]
+    assert [r.qnorm for r in _check_rational_records(a, qmax)] == shells
+
+
+def test_rational_ranking_beyond_int64():
+    """Products N q that would wrap in int64 are ranked in Python ints (in
+    int64 this target lists shell 4 instead of shell 3)."""
+    big = 2**61 - 1  # prime, so L = 3 big and N q reaches 2^64
+    a = [[Fraction(1180180315279482015, big), Fraction(2, 3)]]
+    recs = best_approximations(ExactMatrix(a), 4)
+    want = oracles.best_approximations_naive(a, 4)
+    assert [(r.qnorm, r.q, r.p) for r in recs] == [w[:3] for w in want]
+
+
+def test_walk_ranks_one_q_per_pair(monkeypatch):
+    """A search to qmax ranks ((2 qmax + 1)^l - 1) / 2 points, one of each
+    +-q pair of the cube."""
+    keys = dioph._residual_keys
+    for ell, qmax in ((2, 9), (3, 5)):
+        seen = []
+
+        def counting(qs, af, scaled):
+            seen.append(qs.copy())
+            return keys(qs, af, scaled)
+
+        monkeypatch.setattr(dioph, "_residual_keys", counting)
+        best_approximations([[SQRT2M1] + [math.pi - 3] * (ell - 1)], qmax)
+        pts = np.concatenate(seen).tolist()
+        assert len(pts) == ((2 * qmax + 1) ** ell - 1) // 2
+        pairs = {min(tuple(q), tuple(-c for c in q)) for q in pts}
+        assert len(pairs) == len(pts)
+        assert all(0 < max(map(abs, q)) <= qmax for q in pts)
 
 
 def test_p_is_nearest_integer():
