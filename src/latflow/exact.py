@@ -1,5 +1,6 @@
-"""Exact scalars over Q and real quadratic fields Q(sqrt(D)), plus small exact
-matrices.
+"""Exact scalars over Q and real quadratic fields Q(sqrt(D)), small exact
+matrices, and the one Gaussian elimination that every exact determinant,
+inverse and linear solve in the package runs through.
 
 Scalars are kept exact so that span computations, certificates and residual
 identities can be verified with no floating error; conversion to float happens
@@ -156,6 +157,8 @@ class ExactScalar:
         return self * ExactScalar.coerce(other).inverse()
 
     def __rtruediv__(self, other):
+        if other == 1:
+            return self.inverse()
         return ExactScalar.coerce(other) * self.inverse()
 
     def __pow__(self, exponent: int):
@@ -248,19 +251,54 @@ ZERO = ExactScalar(0)
 ONE = ExactScalar(1)
 
 
-def sup_norm(vec: Sequence) -> Union[ExactScalar, float]:
-    """Max absolute entry. Exact inputs give an exact result, floats a float."""
-    items = list(vec)
-    if not items:
-        raise ExactError("sup_norm of empty vector")
-    if all(isinstance(x, (ExactScalar, int, Fraction)) for x in items):
-        best = abs(ExactScalar.coerce(items[0]))
-        for x in items[1:]:
-            cand = abs(ExactScalar.coerce(x))
-            if cand > best:
-                best = cand
-        return best
-    return max(abs(float(x)) for x in items)
+def eliminate(rows: List[list], reduced: bool = False):
+    """Gaussian elimination of `rows` in place, with first-nonzero pivoting.
+
+    Entries are field elements, Fractions or ExactScalars, and keep their
+    type. Each pivot row is subtracted from the rows below it, from the pivot
+    column to the right, without scaling. Returns the pivot columns and the
+    determinant: the signed product of the pivots when `rows` is square,
+    None otherwise.
+
+    Without `reduced` this is the forward elimination of a determinant and
+    stops at the first column with no pivot, where the determinant is zero.
+    With `reduced` every column is visited, pivot rows are subtracted from
+    the rows above as well, and each pivot row is scaled to a leading one at
+    the end, which leaves `rows` in reduced row echelon form.
+    """
+    nrows, ncols = len(rows), len(rows[0])
+    field = type(rows[0][0])
+    det = field(1)
+    pivots: List[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if p is None:
+            det = field(0)
+            if not reduced:
+                break
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            det = -det
+        top = rows[r]
+        det = det * top[c]
+        inv = None  # a determinant's last pivot clears no row: skip its reciprocal
+        for i in range(0 if reduced else r + 1, nrows):
+            row = rows[i]
+            if i != r and row[c]:
+                if inv is None:
+                    inv = 1 / top[c]
+                f = row[c] * inv
+                row[c:] = [x - f * y for x, y in zip(row[c:], top[c:])]
+        pivots.append(c)
+    if reduced:
+        for r, c in enumerate(pivots):
+            inv = 1 / rows[r][c]
+            rows[r][c:] = [x * inv for x in rows[r][c:]]
+    return pivots, det if nrows == ncols else None
 
 
 class ExactMatrix:
@@ -326,10 +364,6 @@ class ExactMatrix:
             for i in range(self.nrows)
         ])
 
-    def scale(self, c) -> "ExactMatrix":
-        c = ExactScalar.coerce(c)
-        return ExactMatrix([[x * c for x in row] for row in self.rows])
-
     def _shape_check(self, other: "ExactMatrix", same: bool = False):
         if same:
             if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -361,68 +395,26 @@ class ExactMatrix:
     def det(self) -> ExactScalar:
         if self.nrows != self.ncols:
             raise ExactError("determinant of a non-square matrix")
-        work = [row[:] for row in self.rows]
-        n = self.nrows
-        det = ExactScalar(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col]), None)
-            if pivot is None:
-                return ExactScalar(0)
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                det = -det
-            det = det * work[col][col]
-            inv = work[col][col].inverse()
-            for r in range(col + 1, n):
-                if work[r][col]:
-                    factor = work[r][col] * inv
-                    for c in range(col, n):
-                        work[r][c] = work[r][c] - factor * work[col][c]
-        return det
+        return eliminate([row[:] for row in self.rows])[1]
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list)."""
         work = [row[:] for row in self.rows]
-        pivots: List[int] = []
-        r = 0
-        for c in range(self.ncols):
-            if r == self.nrows:
-                break
-            pivot = next((i for i in range(r, self.nrows) if work[i][c]), None)
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            inv = work[r][c].inverse()
-            work[r] = [x * inv for x in work[r]]
-            for i in range(self.nrows):
-                if i != r and work[i][c]:
-                    f = work[i][c]
-                    work[i] = [work[i][j] - f * work[r][j] for j in range(self.ncols)]
-            pivots.append(c)
-            r += 1
+        pivots, _ = eliminate(work, reduced=True)
         return ExactMatrix(work), pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
 
     def inverse(self) -> "ExactMatrix":
         if self.nrows != self.ncols:
             raise ExactError("inverse of a non-square matrix")
         n = self.nrows
-        aug = ExactMatrix([
-            self.rows[i] + ExactMatrix.identity(n).rows[i] for i in range(n)
-        ])
-        red, pivots = aug.rref()
-        if pivots[:n] != list(range(n)):
+        work = [row + [ONE if j == i else ZERO for j in range(n)]
+                for i, row in enumerate(self.rows)]
+        pivots, _ = eliminate(work, reduced=True)
+        if pivots != list(range(n)):
             raise ExactError("matrix is singular")
-        return ExactMatrix([red.rows[i][n:] for i in range(n)])
+        return ExactMatrix([row[n:] for row in work])
 
     def to_float(self):
         import numpy as np
 
         return np.array([[float(x) for x in row] for row in self.rows], dtype=float)
-
-    def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.nrows != other.nrows:
-            raise ExactError("hstack row mismatch")
-        return ExactMatrix([self.rows[i] + other.rows[i] for i in range(self.nrows)])

@@ -78,12 +78,6 @@ def u_row(v: Sequence) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-def u_row_float(v: Sequence[float]) -> np.ndarray:
-    m = np.eye(len(v) + 1)
-    m[0, 1:] = np.asarray(v, dtype=float)
-    return m
-
-
 def g_of_A(a: ExactMatrix, n: int) -> ExactMatrix:
     """Block unipotent [[I_d, A], [0, I_{n-d}]] for A of shape d x (n-d)."""
     d = a.nrows
@@ -153,10 +147,6 @@ def curve_eval(curve: Curve, s: Sequence) -> List[ExactScalar]:
             acc = acc + term
         point.append(acc)
     return point
-
-
-def curve_eval_float(curve: Curve, s: Sequence[float]) -> np.ndarray:
-    return np.array([float(x) for x in curve_eval(curve, [Fraction(float(v)) for v in s])])
 
 
 def curve_to_json(curve: Curve) -> dict:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, InvariantError
-from .exact import ExactMatrix, ExactScalar
+from .exact import ExactMatrix, ExactScalar, eliminate
 from .wedge import WedgeIndex
 
 Weight = Tuple[int, ...]
@@ -108,25 +108,12 @@ def _affine_minimizer(points: List[Point]) -> List[Fraction]:
     """Coefficients alpha (summing to 1) of the min-norm point of the affine
     hull of `points`, from the KKT system [[Gram, 1], [1^T, 0]]."""
     k = len(points)
-    size = k + 1
-    aug: List[List[Fraction]] = []
-    for i in range(k):
-        row = [_dot(points[i], points[j]) for j in range(k)] + [Fraction(1)]
-        aug.append(row + [Fraction(0)])
+    aug = [[_dot(p, q) for q in points] + [Fraction(1), Fraction(0)] for p in points]
     aug.append([Fraction(1)] * k + [Fraction(0), Fraction(1)])
-    # Gaussian elimination with partial (first nonzero) pivoting
-    for col in range(size):
-        piv = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if piv is None:
-            raise InvariantError("affinely dependent corral in min-norm point")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [aug[r][j] - f * aug[col][j] for j in range(size + 1)]
-    return [aug[i][size] for i in range(k)]
+    pivots, _ = eliminate(aug, reduced=True)
+    if pivots != list(range(k + 1)):
+        raise InvariantError("affinely dependent corral in min-norm point")
+    return [row[k + 1] for row in aug[:k]]
 
 
 def min_norm_point(points: Sequence[Sequence]) -> Tuple[Point, Dict[int, Fraction]]:
@@ -174,69 +161,6 @@ def min_norm_point(points: Sequence[Sequence]) -> Tuple[Point, Dict[int, Fractio
             for d in range(len(pts[0]))
         )
     raise InvariantError("min-norm point did not converge")
-
-
-def zero_in_hull(points: Sequence[Sequence]) -> bool:
-    """Exact feasibility of 0 = sum alpha_i p_i, alpha >= 0, sum alpha_i = 1,
-    by phase-one simplex with Bland's rule."""
-    pts = [tuple(Fraction(c) for c in p) for p in points]
-    if not pts:
-        return False
-    dim = len(pts[0])
-    m = dim + 1
-    nvar = len(pts)
-    # rows: dim equality constraints + the convexity row; rhs last
-    table: List[List[Fraction]] = []
-    for d in range(dim):
-        row = [pts[j][d] for j in range(nvar)]
-        rhs = Fraction(0)
-        table.append(row + [rhs])
-    table.append([Fraction(1)] * nvar + [Fraction(1)])
-    # flip rows to make rhs nonnegative (only the sign of the equality matters)
-    for row in table:
-        if row[-1] < 0:
-            for j in range(len(row)):
-                row[j] = -row[j]
-    # append artificial columns
-    for i, row in enumerate(table):
-        rhs = row.pop()
-        row.extend(Fraction(1) if k == i else Fraction(0) for k in range(m))
-        row.append(rhs)
-    basis = list(range(nvar, nvar + m))
-    total = nvar + m
-    cost = [Fraction(0)] * nvar + [Fraction(1)] * m
-    # reduced costs c_j - z_j for the all-artificial starting basis
-    red = [cost[j] - sum(table[i][j] for i in range(m)) for j in range(total)]
-    while True:
-        # Bland: smallest improving index enters, smallest-index tie leaves
-        enter = next((j for j in range(total) if red[j] < 0), None)
-        if enter is None:
-            break
-        ratios = [
-            (table[i][total] / table[i][enter], basis[i], i)
-            for i in range(m)
-            if table[i][enter] > 0
-        ]
-        if not ratios:
-            raise InvariantError("unbounded phase-one simplex")
-        _, _, leave = min(ratios)
-        _pivot(table, red, leave, enter, total)
-        basis[leave] = enter
-    value = sum(table[i][total] * cost[basis[i]] for i in range(m))
-    return value == 0
-
-
-def _pivot(table, red, leave, enter, total):
-    inv = 1 / table[leave][enter]
-    table[leave] = [x * inv for x in table[leave]]
-    for i in range(len(table)):
-        if i != leave and table[i][enter] != 0:
-            f = table[i][enter]
-            table[i] = [table[i][j] - f * table[leave][j] for j in range(total + 1)]
-    f = red[enter]
-    if f != 0:
-        for j in range(total):
-            red[j] -= f * table[leave][j]
 
 
 # -- Kempf optimum ------------------------------------------------------------

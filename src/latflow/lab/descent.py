@@ -18,6 +18,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..errors import InputError, InvariantError
+from ..exact import eliminate
 from ..wedge import WedgeIndex
 from . import reduction
 
@@ -105,23 +106,8 @@ def wedge_span_lattice(w: Sequence, n: int, k: int) -> List[List[int]]:
 
 
 def _gram_det(basis: List[List[int]]) -> int:
-    k = len(basis)
-    gram = [[sum(a * b for a, b in zip(basis[i], basis[j])) for j in range(k)]
-            for i in range(k)]
-    # fraction-free is overkill at k <= 3; plain rational elimination
-    mat = [[Fraction(x) for x in row] for row in gram]
-    det = Fraction(1)
-    for c in range(k):
-        piv = next((r for r in range(c, k) if mat[r][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            det = -det
-        det *= mat[c][c]
-        for r in range(c + 1, k):
-            f = mat[r][c] / mat[c][c]
-            mat[r] = [x - f * y for x, y in zip(mat[r], mat[c])]
+    gram = [[Fraction(sum(a * b for a, b in zip(u, v))) for v in basis] for u in basis]
+    det = eliminate(gram)[1]
     assert det.denominator == 1
     return int(det)
 

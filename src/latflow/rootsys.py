@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .errors import InputError, InvariantError
+from .exact import eliminate
 
 Vec = Tuple[Fraction, ...]
 
@@ -193,8 +194,8 @@ def _validate(rs: RootSystem) -> None:
             if reflect(beta, alpha) not in roots:
                 raise InvariantError(f"reflection of {beta} in {alpha} leaves the system")
     # simple roots: integral coefficients of one sign for every root
-    for root in roots:
-        coeffs = _in_simple_basis(rs, root)
+    order = list(roots)
+    for root, coeffs in zip(order, _in_simple_basis(rs, order)):
         if any(c.denominator != 1 for c in coeffs):
             raise InvariantError(f"non-integral simple coordinates for {root}")
         if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
@@ -205,34 +206,29 @@ def _validate(rs: RootSystem) -> None:
             raise InvariantError(f"fundamental weight {i + 1} fails duality")
 
 
-def _in_simple_basis(rs: RootSystem, v: Vec) -> List[Fraction]:
-    """Coordinates of v in the simple-root basis, via the Cartan pairings.
+def _in_simple_basis(rs: RootSystem, vs: List[Vec]) -> List[List[Fraction]]:
+    """Coordinates of each v in the simple-root basis, via the Cartan pairings.
 
-    Solves the rank x rank system <v, a_i> = sum_j c_j <a_j, a_i> exactly.
+    Solves the rank x rank systems <v, a_i> = sum_j c_j <a_j, a_i> exactly,
+    all in one elimination of [Gram | <v, a_i> for every v].
     """
     k = rs.rank
-    gram = [[_inner(rs.simple[j], rs.simple[i]) for j in range(k)] for i in range(k)]
-    rhs = [_inner(v, rs.simple[i]) for i in range(k)]
-    aug = [gram[i] + [rhs[i]] for i in range(k)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
-        if piv is None:
-            raise InvariantError("degenerate simple-root Gram matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [aug[r][j] - f * aug[col][j] for j in range(k + 1)]
-    coeffs = [aug[i][k] for i in range(k)]
-    recon = tuple(
-        sum((coeffs[j] * rs.simple[j][d] for j in range(k)), Fraction(0))
-        for d in range(rs.ambient)
-    )
-    if recon != v:
-        raise InputError(f"{v} lies outside the span of the simple roots")
-    return coeffs
+    aug = [[_inner(a, b) for b in rs.simple] + [_inner(v, a) for v in vs]
+           for a in rs.simple]
+    pivots, _ = eliminate(aug, reduced=True)
+    if pivots != list(range(k)):
+        raise InvariantError("degenerate simple-root Gram matrix")
+    out = []
+    for col, v in enumerate(vs, start=k):
+        coeffs = [row[col] for row in aug]
+        recon = tuple(
+            sum((coeffs[j] * rs.simple[j][d] for j in range(k)), Fraction(0))
+            for d in range(rs.ambient)
+        )
+        if recon != v:
+            raise InputError(f"{v} lies outside the span of the simple roots")
+        out.append(coeffs)
+    return out
 
 
 def is_dominant(lam: Sequence, rs: RootSystem) -> bool:

@@ -159,6 +159,13 @@ def lll_full_recompute(embed, ncols, delta=0.99):
     return z, b
 
 
+def u_row_float(v):
+    """Float expanding-horosphere element: first row (1, v), identity below."""
+    m = np.eye(len(v) + 1)
+    m[0, 1:] = np.asarray(v, dtype=float)
+    return m
+
+
 def lambda1_sup_naive_n3(t, v1, v2):
     """Sup-norm first minimum of g_t u(v) Z^3 by direct (b, c) scanning.
 
@@ -254,6 +261,69 @@ def min_norm_point_subsets(points):
             if best is None or norm2 < best:
                 best = norm2
     return best
+
+
+def zero_in_hull(points):
+    """Exact feasibility of 0 = sum alpha_i p_i, alpha >= 0, sum alpha_i = 1,
+    by phase-one simplex with Bland's rule."""
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    if not pts:
+        return False
+    dim = len(pts[0])
+    m = dim + 1
+    nvar = len(pts)
+    # rows: dim equality constraints + the convexity row; rhs last
+    table = []
+    for d in range(dim):
+        row = [pts[j][d] for j in range(nvar)]
+        rhs = Fraction(0)
+        table.append(row + [rhs])
+    table.append([Fraction(1)] * nvar + [Fraction(1)])
+    # flip rows to make rhs nonnegative (only the sign of the equality matters)
+    for row in table:
+        if row[-1] < 0:
+            for j in range(len(row)):
+                row[j] = -row[j]
+    # append artificial columns
+    for i, row in enumerate(table):
+        rhs = row.pop()
+        row.extend(Fraction(1) if k == i else Fraction(0) for k in range(m))
+        row.append(rhs)
+    basis = list(range(nvar, nvar + m))
+    total = nvar + m
+    cost = [Fraction(0)] * nvar + [Fraction(1)] * m
+    # reduced costs c_j - z_j for the all-artificial starting basis
+    red = [cost[j] - sum(table[i][j] for i in range(m)) for j in range(total)]
+    while True:
+        # Bland: smallest improving index enters, smallest-index tie leaves
+        enter = next((j for j in range(total) if red[j] < 0), None)
+        if enter is None:
+            break
+        ratios = [
+            (table[i][total] / table[i][enter], basis[i], i)
+            for i in range(m)
+            if table[i][enter] > 0
+        ]
+        if not ratios:
+            raise RuntimeError("unbounded phase-one simplex")
+        _, _, leave = min(ratios)
+        _pivot(table, red, leave, enter, total)
+        basis[leave] = enter
+    value = sum(table[i][total] * cost[basis[i]] for i in range(m))
+    return value == 0
+
+
+def _pivot(table, red, leave, enter, total):
+    inv = 1 / table[leave][enter]
+    table[leave] = [x * inv for x in table[leave]]
+    for i in range(len(table)):
+        if i != leave and table[i][enter] != 0:
+            f = table[i][enter]
+            table[i] = [table[i][j] - f * table[leave][j] for j in range(total + 1)]
+    f = red[enter]
+    if f != 0:
+        for j in range(total):
+            red[j] -= f * table[leave][j]
 
 
 # -- diophantine ---------------------------------------------------------------

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from latflow.errors import InputError
@@ -71,6 +73,14 @@ def test_span_lattice_covolume_formula():
         assert _gram_det(basis) * content * content == norm2
         kept += 1
     assert kept > 25
+
+
+@given(st.integers(1, 3), st.integers(1, 5), st.data())
+def test_gram_det_matches_permutation_sum(k, n, data):
+    basis = data.draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                               min_size=k, max_size=k))
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
+    assert _gram_det(basis) == oracles.det_by_permutations(gram)
 
 
 def test_minkowski_in_exact_integers():

@@ -4,8 +4,26 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from latflow.exact import ExactError, ExactMatrix, ExactScalar, sup_norm
+import oracles
+from latflow.exact import ExactError, ExactMatrix, ExactScalar, eliminate
+
+
+def sup_norm(vec):
+    """Max absolute entry. Exact inputs give an exact result, floats a float."""
+    items = list(vec)
+    if not items:
+        raise ExactError("sup_norm of empty vector")
+    if all(isinstance(x, (ExactScalar, int, Fraction)) for x in items):
+        best = abs(ExactScalar.coerce(items[0]))
+        for x in items[1:]:
+            cand = abs(ExactScalar.coerce(x))
+            if cand > best:
+                best = cand
+        return best
+    return max(abs(float(x)) for x in items)
 
 
 def test_parse_serialize_roundtrip():
@@ -26,6 +44,7 @@ def test_conjugate_product_is_rational():
     assert (s * s.conjugate()).serialize() == "-1"
     assert s.inverse().serialize() == "-1+r2"
     assert (s * s.inverse()).serialize() == "1"
+    assert 1 / s == s.inverse() and 2 / s == 2 * s.inverse()
 
 
 def test_powers_collapse_radicals():
@@ -115,3 +134,125 @@ def test_matrix_shape_mismatch():
     b = ExactMatrix([[1, 2]])
     with pytest.raises(ExactError):
         a @ b
+
+
+# -- the elimination routine ---------------------------------------------------
+
+SMALL_INTS = st.integers(-4, 4)
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def square_rows(draw, entries, max_size=5):
+    """Square matrices of size 1..max_size; about half are made singular by
+    replacing a row with a multiple (possibly zero) of another."""
+    n = draw(st.integers(1, max_size))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        k = draw(st.integers(0, n - 1))
+        c = draw(RATIONALS)
+        if n == 1 or i == k:
+            rows[k] = [0 * x for x in rows[k]]
+        else:
+            rows[k] = [c * x for x in rows[i]]
+    return rows
+
+
+@given(square_rows(st.one_of(SMALL_INTS, RATIONALS)))
+def test_det_matches_permutation_sum(rows):
+    want = oracles.det_by_permutations(rows)
+    got = ExactMatrix(rows).det()
+    assert isinstance(got, ExactScalar)
+    assert got == want
+    fr = [[Fraction(x) for x in row] for row in rows]
+    pivots, det = eliminate(fr)
+    assert type(det) is Fraction and det == want
+    assert (len(pivots) == len(rows)) == (want != 0)
+
+
+def _quadratic(D):
+    return st.builds(lambda a, b: ExactScalar(a, b, D), RATIONALS, RATIONALS)
+
+
+@st.composite
+def quadratic_rows(draw):
+    D = draw(st.sampled_from([2, 3, 5, 6, 7]))
+    return draw(square_rows(st.one_of(SMALL_INTS, _quadratic(D)), max_size=4))
+
+
+@given(quadratic_rows())
+def test_inverse_over_quadratic_fields(rows):
+    m = ExactMatrix(rows)
+    eye = ExactMatrix.identity(m.nrows)
+    if m.det():
+        inv = m.inverse()
+        assert m @ inv == eye
+        assert inv @ m == eye
+        assert m.det() * inv.det() == 1
+    else:
+        with pytest.raises(ExactError, match="matrix is singular"):
+            m.inverse()
+
+
+def test_inverse_of_singular_matrix_raises():
+    r2 = ExactScalar.sqrt(2)
+    m = ExactMatrix([[1, r2, 3], [r2, 2, 3 * r2], [0, 1, 1 + r2]])
+    assert m.det() == 0
+    with pytest.raises(ExactError, match="matrix is singular"):
+        m.inverse()
+
+
+def _leading_ranks(rows):
+    a = np.array(rows, dtype=float)
+    return [int(np.linalg.matrix_rank(a[:, :j])) if j else 0
+            for j in range(a.shape[1] + 1)]
+
+
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 4), st.data())
+def test_rref_pivots_on_rectangular_and_rank_deficient_input(nrows, ncols, k, data):
+    # a product of nrows x k and k x ncols integer matrices has rank <= k
+    left = data.draw(st.lists(st.lists(SMALL_INTS, min_size=k, max_size=k),
+                              min_size=nrows, max_size=nrows))
+    right = data.draw(st.lists(st.lists(SMALL_INTS, min_size=ncols, max_size=ncols),
+                               min_size=k, max_size=k))
+    rows = [[sum(x * y for x, y in zip(lrow, col)) for col in zip(*right)]
+            for lrow in left]
+    red, pivots = ExactMatrix(rows).rref()
+    ranks = _leading_ranks(rows)
+    assert pivots == [j for j in range(ncols) if ranks[j + 1] > ranks[j]]
+    for i, row in enumerate(red.rows):
+        if i >= len(pivots):
+            assert not any(row)
+            continue
+        assert not any(row[:pivots[i]]) and row[pivots[i]] == 1
+        assert all(red[r, pivots[i]] == (r == i) for r in range(nrows))
+    # every input row is the combination of the reduced rows given by its
+    # entries in the pivot columns
+    for row in rows:
+        combo = [sum((row[p] * red[i, j] for i, p in enumerate(pivots)), ExactScalar(0))
+                 for j in range(ncols)]
+        assert combo == [ExactScalar(x) for x in row]
+
+
+def test_rref_fixed_example():
+    red, pivots = ExactMatrix([[0, 0, 1, 2], [0, 0, 2, 4], [0, 3, 0, 1]]).rref()
+    assert pivots == [1, 2]
+    assert red == ExactMatrix([[0, 1, 0, Fraction(1, 3)], [0, 0, 1, 2], [0, 0, 0, 0]])
+
+
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+def test_fraction_rows_stay_fractions(nrows, ncols, data):
+    rows = data.draw(st.lists(st.lists(RATIONALS, min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    work = [row[:] for row in rows]
+    pivots, det = eliminate(work, reduced=True)
+    assert all(type(x) is Fraction for row in work for x in row)
+    assert (det is None) == (nrows != ncols)
+    if det is not None:
+        assert type(det) is Fraction
+    exact_red, exact_pivots = ExactMatrix(rows).rref()
+    assert pivots == exact_pivots
+    assert exact_red == ExactMatrix(work)
+

@@ -12,7 +12,7 @@ import pytest
 import oracles
 from latflow.errors import InputError
 from latflow.exact import ExactScalar
-from latflow.flows import Curve, FlowSpec, make_flow, u_row_float
+from latflow.flows import Curve, FlowSpec, make_flow
 from latflow.lab.experiments import (
     _flow_stats,
     _head_form,
@@ -184,7 +184,7 @@ def test_flow_kernel_box_count_matches_matrix_path():
         t = float(rng.uniform(0.0, 1.8))
         v1, v2 = (float(x) for x in rng.uniform(-2, 2, size=2))
         radius = float(rng.choice([0.8, 1.0, 1.5]))
-        basis = make_flow(FlowSpec("g", 3), t) @ u_row_float([v1, v2])
+        basis = make_flow(FlowSpec("g", 3), t) @ oracles.u_row_float([v1, v2])
         assert _stats_n3(t, v1, v2, radius)[1] == siegel_count(basis, radius)
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from latflow.exact import ExactMatrix, ExactScalar
 from latflow.flows import (
     AffineSpanData,
@@ -15,7 +16,6 @@ from latflow.flows import (
     FlowSpec,
     affine_span,
     curve_eval,
-    curve_eval_float,
     curve_from_json,
     curve_to_json,
     g_of_A,
@@ -24,7 +24,6 @@ from latflow.flows import (
     span_contains,
     span_matrix_entries_rational,
     u_row,
-    u_row_float,
 )
 
 
@@ -84,7 +83,9 @@ def test_u_row_group_law():
         v = rng.integers(-9, 10, size=k).tolist()
         w = rng.integers(-9, 10, size=k).tolist()
         assert u_row(v) @ u_row(w) == u_row([a + b for a, b in zip(v, w)])
-    assert np.allclose(u_row_float([1.5, -2.0])[0], [1.0, 1.5, -2.0])
+    assert np.allclose(oracles.u_row_float([1.5, -2.0])[0], [1.0, 1.5, -2.0])
+    assert np.array_equal(oracles.u_row_float([1.5, -2.0]),
+                          u_row([Fraction(3, 2), -2]).to_float())
 
 
 def test_block_unipotent_shape():
@@ -121,6 +122,10 @@ def _line_third():
             [((0,), ExactScalar(Fraction(1, 2))), ((1,), ExactScalar(Fraction(1, 3)))],
         ],
     )
+
+
+def curve_eval_float(curve: Curve, s) -> np.ndarray:
+    return np.array([float(x) for x in curve_eval(curve, [Fraction(float(v)) for v in s])])
 
 
 def test_curve_eval_exact_and_float():

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from latflow.errors import BudgetError, InputError
-from latflow.flows import FlowSpec, make_flow, u_row_float
+from latflow.flows import FlowSpec, make_flow
 from latflow.lab.grids import Grid3
 from latflow.lab.reduction import siegel_count
 
@@ -32,7 +32,7 @@ def test_box_count_matches_matrix_path():
         v1, v2 = (float(x) for x in rng.uniform(-2, 2, size=2))
         radius = float(rng.choice([0.8, 1.0, 1.5]))
         grid = Grid3(t, radius)
-        basis = make_flow(FlowSpec("g", 3), t) @ u_row_float([v1, v2])
+        basis = make_flow(FlowSpec("g", 3), t) @ oracles.u_row_float([v1, v2])
         assert grid.box_count(v1, v2) == siegel_count(basis, radius)
 
 

@@ -5,18 +5,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
-from latflow.errors import InputError
+from latflow.errors import InputError, InvariantError
 from latflow.exact import ExactMatrix
 from latflow.instability import (
+    _affine_minimizer,
     kempf_optimum,
     m_value,
     min_norm_point,
     parabolic_of,
     project_sum_zero,
     weight_support,
-    zero_in_hull,
 )
 
 F = Fraction
@@ -82,9 +84,32 @@ def test_min_norm_point_certificate():
 
 
 def test_zero_in_hull():
-    assert zero_in_hull([(F(1), F(1)), (F(1), F(-1)), (F(-1), F(0))])
-    assert not zero_in_hull([(F(1), F(0)), (F(0), F(1))])
-    assert zero_in_hull([(F(0), F(0))])
+    assert oracles.zero_in_hull([(F(1), F(1)), (F(1), F(-1)), (F(-1), F(0))])
+    assert not oracles.zero_in_hull([(F(1), F(0)), (F(0), F(1))])
+    assert oracles.zero_in_hull([(F(0), F(0))])
+
+
+@st.composite
+def rational_point_sets(draw):
+    dim = draw(st.integers(2, 4))
+    coord = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    point = st.tuples(*[coord] * dim)
+    return draw(st.lists(point, min_size=1, max_size=6))
+
+
+@given(rational_point_sets())
+def test_min_norm_point_is_zero_iff_zero_in_hull(pts):
+    h, coeffs = min_norm_point(pts)
+    assert all(c == 0 for c in h) == oracles.zero_in_hull(pts)
+    assert sum(coeffs.values(), F(0)) == 1
+
+
+def test_affinely_dependent_corral_is_refused():
+    with pytest.raises(InvariantError, match="affinely dependent corral"):
+        _affine_minimizer([(F(1), F(2)), (F(1), F(2))])
+    with pytest.raises(InvariantError, match="affinely dependent corral"):
+        _affine_minimizer([(F(0), F(0)), (F(1), F(1)), (F(3), F(3))])
+    assert _affine_minimizer([(F(1), F(0)), (F(0), F(1))]) == [F(1, 2), F(1, 2)]
 
 
 def test_kempf_single_vector_sl2():

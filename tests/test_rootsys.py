@@ -1,11 +1,13 @@
 """Classical root systems, weight saturation, and the pairing-profile scan."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from latflow.errors import InputError
+from latflow.errors import InputError, InvariantError
 from latflow.rootsys import (
+    _validate,
     build_root_system,
     classification_check,
     classification_scan,
@@ -148,3 +150,19 @@ def test_to_json_is_sorted_and_stringly():
     assert data["roots"] == sorted(data["roots"])
     assert all(isinstance(c, str) for root in data["roots"] for c in root)
     assert len(data["fundamental_weights"]) == 2
+
+
+def test_validation_rejects_bad_simple_roots():
+    a2 = build_root_system("A", 2)
+    a1, a2s = a2.simple
+    both = tuple(x + y for x, y in zip(a1, a2s))
+    # (a1, a1 + a2) is a Z-basis, but a2 = (a1 + a2) - a1 has mixed signs
+    with pytest.raises(InvariantError, match="mixed-sign simple coordinates"):
+        _validate(replace(a2, simple=(a1, both)))
+    with pytest.raises(InvariantError, match="degenerate simple-root Gram matrix"):
+        _validate(replace(a2, simple=(a1, a1)))
+    # a single simple root of A2 does not span the other roots
+    with pytest.raises(InputError, match="lies outside the span of the simple roots"):
+        _validate(replace(a2, rank=1, simple=(a1,), fundamental=a2.fundamental[:1]))
+    _validate(a2)
+
