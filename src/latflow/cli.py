@@ -38,8 +38,8 @@ from .rootsys import (
     build_root_system,
     classification_check,
     is_minuscule,
+    minuscule_checks,
     saturate,
-    supported_systems,
 )
 
 # -- option coercion ----------------------------------------------------------
@@ -54,7 +54,7 @@ def _co_int(raw) -> int:
         raise InputError(f"expected an integer, got {raw!r}")
     try:
         return int(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"expected an integer, got {raw!r}")
 
 
@@ -100,12 +100,14 @@ def _scalar_entry(e) -> ExactScalar:
         text = e.strip()
         try:
             return ExactScalar.parse(text)
-        except InputError:
+        except InputError as exc:
             # decimal literals like 0.4142 are read exactly
             try:
                 return ExactScalar(Fraction(text))
             except ValueError:
                 raise InputError(f"cannot parse exact scalar {text!r}")
+            except ZeroDivisionError:
+                raise exc
     raise InputError(f"bad matrix entry {e!r}")
 
 
@@ -159,6 +161,8 @@ def _target_matrix(raw):
                 continue
             try:
                 frow.append(float(Fraction(e)))
+            except OverflowError:
+                raise InputError(f"matrix entry {e!r} is not a finite double")
             except (ValueError, ZeroDivisionError):
                 try:
                     frow.append(float(ExactScalar.parse(e)))
@@ -584,17 +588,14 @@ ROOTS_CHECK_OPTS = [
 ]
 
 
-def _check_report(rs, i0: int) -> dict:
+def _check_report(rs, i0: int, pi, witnesses, minuscule: bool) -> dict:
     fmt = lambda w: [str(c) for c in w]
-    omega = rs.fundamental[i0]
-    pi = sorted(saturate([omega], rs))
-    witnesses = classification_check(rs, pi)
     return {
         "family": rs.family,
         "rank": rs.rank,
         "weight_index": i0 + 1,
-        "minuscule": is_minuscule(omega, rs),
-        "phi1": fmt(omega),
+        "minuscule": minuscule,
+        "phi1": fmt(rs.fundamental[i0]),
         "pi_descriptor": {"size": len(pi), "weights": [fmt(w) for w in pi]},
         "witnesses": [fmt(w) for w in witnesses],
         "passes": bool(witnesses),
@@ -603,12 +604,8 @@ def _check_report(rs, i0: int) -> dict:
 
 def _run_roots_check(v) -> int:
     if v["all"]:
-        reports = []
-        for rs in supported_systems(v["max_rank"]):
-            for i, omega in enumerate(rs.fundamental):
-                if not is_minuscule(omega, rs):
-                    continue
-                reports.append(_check_report(rs, i))
+        reports = [_check_report(rs, i, pi, witnesses, True)
+                   for rs, i, pi, witnesses in minuscule_checks(v["max_rank"])]
         payload = {
             "max_rank": v["max_rank"],
             "reports": reports,
@@ -622,7 +619,11 @@ def _run_roots_check(v) -> int:
         rs = build_root_system(v["family"], v["rank"])
         if not 1 <= v["weight"] <= rs.rank:
             raise InputError(f"weight index must lie in 1..{rs.rank}")
-        payload = _check_report(rs, v["weight"] - 1)
+        i0 = v["weight"] - 1
+        omega = rs.fundamental[i0]
+        pi = sorted(saturate([omega], rs))
+        payload = _check_report(rs, i0, pi, classification_check(rs, pi),
+                                is_minuscule(omega, rs))
     _emit_json(payload, v["out"])
     return 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,14 +37,24 @@ class ApproxRecord:
         return self.residual * self.qnorm**r
 
 
+def _finite_float(x) -> float:
+    """A target entry as a double; nan, infinities and rationals beyond the
+    double range are refused."""
+    try:
+        f = x if isinstance(x, float) else float(ExactScalar.coerce(x))
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f):
+        text = x.serialize() if isinstance(x, ExactScalar) else repr(x)
+        if len(text) > 24:
+            text = f"{text[:12]}... ({len(text)} characters)"
+        raise InputError(f"target entry {text} is not a finite double")
+    return f
+
+
 def _as_float_matrix(a) -> np.ndarray:
-    if isinstance(a, ExactMatrix):
-        return a.to_float()
-    arr = np.asarray(
-        [[float(ExactScalar.coerce(x)) if not isinstance(x, float) else x for x in row]
-         for row in a],
-        dtype=float,
-    )
+    rows = a.rows if isinstance(a, ExactMatrix) else a
+    arr = np.asarray([[_finite_float(x) for x in row] for row in rows], dtype=float)
     if arr.ndim != 2:
         raise InputError("target must be a matrix (m rows, l columns)")
     return arr
@@ -459,6 +469,12 @@ class DirichletQuery:
             raise InputError("empty T grid")
         if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
             raise InputError("T grid must be strictly increasing")
+        for t in self.t_grid:
+            if not (math.isfinite(t) and t > 1):
+                raise InputError(f"T values must be finite and > 1, got {t}")
+        for v in self.x:
+            if not math.isfinite(v):
+                raise InputError(f"x must be finite, got {v}")
 
 
 @dataclass
@@ -506,8 +522,6 @@ def dirichlet_solve(query: DirichletQuery) -> DirichletReport:
     n = x.size
     rows: List[DirichletRow] = []
     for t in query.t_grid:
-        if t <= 1:
-            raise InputError("T values must be > 1")
         if query.form == "vect":
             rows.append(_dirichlet_vect(x, n, query.delta, t, query.budget))
         else:

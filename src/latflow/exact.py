@@ -67,10 +67,13 @@ class ExactScalar:
         m = _SCALAR_RE.match(text)
         if not m or (m.group("a") is None and m.group("d") is None):
             raise ExactError(f"cannot parse exact scalar {text!r}")
-        a = Fraction(m.group("a")) if m.group("a") is not None else Fraction(0)
+        try:
+            a = Fraction(m.group("a") or 0)
+            b = Fraction(m.group("b") or 1)
+        except ZeroDivisionError:
+            raise ExactError(f"zero denominator in {text!r}")
         if m.group("d") is None:
             return ExactScalar(a)
-        b = Fraction(m.group("b")) if m.group("b") is not None else Fraction(1)
         if m.group("sign") == "-":
             b = -b
         elif m.group("sign") is None and m.group("a") is not None:
@@ -164,13 +167,18 @@ class ExactScalar:
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        out = ExactScalar(1)
-        base = self
-        e = exponent
-        while e:
+        if exponent == 0:
+            return ExactScalar(1)
+        base, e = self, exponent
+        while not e & 1:  # start from the lowest set bit
+            base = base * base
+            e >>= 1
+        out = base
+        e >>= 1
+        while e:  # no square after the last bit
+            base = base * base
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
         return out
 
@@ -234,10 +242,6 @@ class ExactScalar:
         if self.b != 0:
             raise ExactError(f"{self.serialize()} is irrational")
         return self.a
-
-    def conjugate(self) -> "ExactScalar":
-        """Galois conjugate a - b*sqrt(D)."""
-        return ExactScalar(self.a, -self.b, self.D)
 
 
 def _is_square(n: int) -> bool:
@@ -316,10 +320,6 @@ class ExactMatrix:
         self.ncols = len(self.rows[0])
         if any(len(r) != self.ncols for r in self.rows):
             raise ExactError("ragged matrix rows")
-
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @staticmethod
     def zero(nrows: int, ncols: int) -> "ExactMatrix":
@@ -413,8 +413,3 @@ class ExactMatrix:
         if pivots != list(range(n)):
             raise ExactError("matrix is singular")
         return ExactMatrix([row[n:] for row in work])
-
-    def to_float(self):
-        import numpy as np
-
-        return np.array([[float(x) for x in row] for row in self.rows], dtype=float)

@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InputError
-from .exact import ExactError, ExactMatrix, ExactScalar
+from .exact import ExactMatrix, ExactScalar
 
 
 class FlowError(InputError):
@@ -256,20 +256,3 @@ def span_matrix_entries_rational(span: AffineSpanData) -> bool:
         return True
     return all(x.is_rational() for row in span.matrix.rows for x in row)
 
-
-def span_contains(span: AffineSpanData, point: Sequence[ExactScalar]) -> bool:
-    """Exact membership of a curve point in {(x, x~ A)} after permutation."""
-    if span.matrix is None:
-        return True
-    permuted = [point[i] for i in span.order]
-    dm1 = span.d - 1
-    x = permuted[:dm1]
-    xt = [ExactScalar(1)] + list(x)
-    rest = permuted[dm1:]
-    for cidx in range(len(rest)):
-        pred = ExactScalar(0)
-        for i in range(span.d):
-            pred = pred + xt[i] * span.matrix.rows[i][cidx]
-        if pred != rest[cidx]:
-            return False
-    return True

@@ -10,7 +10,6 @@ checks Minkowski's bound exactly in integer arithmetic.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import combinations
 from typing import List, Sequence, Tuple

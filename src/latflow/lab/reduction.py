@@ -21,7 +21,7 @@ pass, so the result is bit-identical to recomputing in every sweep.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from ..errors import BudgetError, InputError, InvariantError
 
 DEFAULT_NODE_BUDGET = 5_000_000
 _LLL_MAX_SWEEPS = 100_000
+_LLL_DELTA = 0.99  # Lovasz constant
 
 
 def _gs_rows(b: np.ndarray, bstar: np.ndarray, mu: np.ndarray, norms2: np.ndarray,
@@ -61,13 +62,12 @@ def gram_schmidt(b: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _lll_core(
     ncols: int,
     embed: Callable[[List[int]], np.ndarray],
-    delta: float,
 ) -> Tuple[List[List[int]], np.ndarray]:
     """Run LLL on the lattice spanned by embed(e_0), ..., embed(e_{ncols-1}).
 
     Returns (z, b): z[i] is the integer coordinate vector of reduced column i
     in terms of the original columns, b the float matrix of embedded reduced
-    columns.  delta is the Lovasz constant.
+    columns.
     """
     z: List[List[int]] = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
     cols = [embed(c) for c in z]
@@ -97,7 +97,7 @@ def _lll_core(
                 valid = k
         if valid == k:  # column k moved; b[:, k] is not read above
             b[:, k] = embed(z[k])
-        if norms2[k] >= (delta - mu[k, k - 1] ** 2) * norms2[k - 1]:
+        if norms2[k] >= (_LLL_DELTA - mu[k, k - 1] ** 2) * norms2[k - 1]:
             k += 1
         else:
             z[k], z[k - 1] = z[k - 1], z[k]
@@ -114,10 +114,7 @@ def _matrix_embed(basis: np.ndarray) -> Callable[[List[int]], np.ndarray]:
     return embed
 
 
-def lll_with_transform(
-    basis: np.ndarray,
-    delta: float = 0.99,
-) -> Tuple[np.ndarray, List[List[int]]]:
+def lll_with_transform(basis: np.ndarray) -> Tuple[np.ndarray, List[List[int]]]:
     """LLL-reduce the columns; returns (reduced, z) with z the list of
     integer coordinate vectors of the reduced columns."""
     basis = np.asarray(basis, dtype=float)
@@ -126,20 +123,12 @@ def lll_with_transform(
     n, m = basis.shape
     if m < 1 or m > n:
         raise InputError(f"need 1 <= #columns <= dim, got {m} columns in R^{n}")
-    if not 0.25 < delta <= 0.999999:
-        raise InputError(f"delta out of range: {delta}")
     if m == 1:
         if not np.any(basis[:, 0]):
             raise InputError("basis columns are dependent or singular")
         return basis.copy(), [[1]]
-    z, b = _lll_core(m, _matrix_embed(basis), delta)
+    z, b = _lll_core(m, _matrix_embed(basis))
     return b, z
-
-
-def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> np.ndarray:
-    """Reduced column basis of the same lattice (unimodular transform)."""
-    reduced, _ = lll_with_transform(basis, delta)
-    return reduced
 
 
 def enumerate_ball(
@@ -194,63 +183,9 @@ def enumerate_ball(
     return out
 
 
-def shortest_vector(basis: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Shortest nonzero vector in the Euclidean norm and its length.
-
-    Dimension is capped at 8.  Among equal-length minimizers (both signs
-    considered) the lexicographically largest coordinate tuple is returned,
-    so Z^n yields e_1 rather than -e_1 or e_2.
-    """
-    basis = np.asarray(basis, dtype=float)
-    if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
-        raise InputError("shortest_vector expects a square basis matrix")
-    if basis.shape[0] > 8:
-        raise InputError("shortest_vector is capped at dimension 8")
-    reduced, _ = lll_with_transform(basis)
-    bound = float(min(np.linalg.norm(reduced, axis=0)))
-    cands = enumerate_ball(reduced, bound * (1.0 + 1e-9))
-    if not cands:
-        raise InvariantError("enumeration missed the reduced basis vectors")
-    best_v: Optional[np.ndarray] = None
-    best_n2 = math.inf
-    for z in cands:
-        v = reduced @ z.astype(float)
-        n2 = float(np.dot(v, v))
-        for w in (v, -v):
-            if n2 < best_n2 * (1.0 - 1e-12):
-                best_v, best_n2 = w.copy(), n2
-            elif n2 <= best_n2 * (1.0 + 1e-12) and tuple(w) > tuple(best_v):
-                best_v, best_n2 = w.copy(), min(best_n2, n2)
-    return best_v, math.sqrt(best_n2)
-
-
-def siegel_count(
-    basis: np.ndarray,
-    box_radius: float,
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> int:
-    """Number of nonzero lattice vectors v with sup_norm(v) <= box_radius.
-
-    Always even, since v and -v land in the box together.
-    """
-    if not box_radius > 0:
-        raise InputError("box radius must be positive")
-    basis = np.asarray(basis, dtype=float)
-    reduced, _ = lll_with_transform(basis)
-    n = basis.shape[0]
-    ball = box_radius * math.sqrt(n) * (1.0 + 1e-9)
-    half = 0
-    for z in enumerate_ball(reduced, ball, budget):
-        v = reduced @ z.astype(float)
-        if float(np.max(np.abs(v))) <= box_radius + 1e-9:
-            half += 1
-    return 2 * half
-
-
 def reduce_embedded(
     embed: Callable[[List[int]], np.ndarray],
     ncols: int,
-    delta: float = 0.99,
 ) -> Tuple[List[List[int]], np.ndarray]:
     """LLL on the lattice spanned by embed(e_i); see _lll_core.
 
@@ -258,7 +193,7 @@ def reduce_embedded(
     column operation, so a basis with a huge dynamic range stays accurate
     as long as the callback itself evaluates exactly.
     """
-    return _lll_core(ncols, embed, delta)
+    return _lll_core(ncols, embed)
 
 
 def _coords(z: List[List[int]], zc: np.ndarray) -> List[int]:
@@ -297,7 +232,11 @@ def box_count_embedded(
     box_radius: float,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> int:
-    """siegel_count for a reduced embedded lattice (see sup_first_minimum)."""
+    """Number of nonzero lattice vectors v with sup_norm(v) <= box_radius,
+    for a reduced embedded lattice (see sup_first_minimum).
+
+    Always even, since v and -v land in the box together.
+    """
     if not box_radius > 0:
         raise InputError("box radius must be positive")
     ball = box_radius * math.sqrt(b.shape[0]) * (1.0 + 1e-9)

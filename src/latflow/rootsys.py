@@ -258,21 +258,6 @@ def saturate(seed, rs: RootSystem) -> FrozenSet[Vec]:
     return frozenset(out)
 
 
-def weyl_orbit(lam: Sequence, rs: RootSystem) -> FrozenSet[Vec]:
-    """Orbit under the reflection group, generated from the simple reflections."""
-    start = _vec(lam)
-    out = {start}
-    queue = [start]
-    while queue:
-        v = queue.pop()
-        for alpha in rs.simple:
-            w = reflect(v, alpha)
-            if w not in out:
-                out.add(w)
-                queue.append(w)
-    return frozenset(out)
-
-
 def is_minuscule(lam: Sequence, rs: RootSystem) -> bool:
     """lam pairs to 0, 1 or -1 against every root. Requires lam dominant."""
     v = _vec(lam)
@@ -313,16 +298,19 @@ def supported_systems(max_rank: int = MAX_RANK) -> List[RootSystem]:
     return out
 
 
-def classification_scan(max_rank: int = 3):
+def minuscule_checks(max_rank: int):
     """For every supported irreducible system of rank <= max_rank and every
-    minuscule fundamental weight, run classification_check on the saturation.
-
-    Returns {(family, rank, weight index 1-based): witness list}."""
-    results = {}
+    minuscule fundamental weight omega, yield (system, 0-based index of
+    omega, sorted saturation of omega, classification_check witnesses)."""
     for rs in supported_systems(max_rank):
         for i, omega in enumerate(rs.fundamental):
-            if not is_minuscule(omega, rs):
-                continue
-            pi = sorted(saturate([omega], rs))
-            results[(rs.family, rs.rank, i + 1)] = classification_check(rs, pi)
-    return results
+            if is_minuscule(omega, rs):
+                pi = sorted(saturate([omega], rs))
+                yield rs, i, pi, classification_check(rs, pi)
+
+
+def classification_scan(max_rank: int = 3):
+    """Witness lists of minuscule_checks, keyed by (family, rank, weight
+    index 1-based)."""
+    return {(rs.family, rs.rank, i + 1): witnesses
+            for rs, i, _, witnesses in minuscule_checks(max_rank)}

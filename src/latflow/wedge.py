@@ -3,9 +3,8 @@ matrices, and Pfaffians."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .exact import ExactError, ExactMatrix, ExactScalar
 
@@ -102,23 +101,3 @@ def _pf(rows, active: List[int]) -> ExactScalar:
         sign = -sign
     return total
 
-
-def two_form_matrix(coeffs: Dict[Tuple[int, int], object], n: int) -> ExactMatrix:
-    """Antisymmetric matrix S with S[i][j] = C_ij for i < j (0-based pairs)."""
-    rows = [[ExactScalar(0) for _ in range(n)] for _ in range(n)]
-    for (i, j), c in coeffs.items():
-        if not 0 <= i < j < n:
-            raise ExactError(f"bad pair {(i, j)} for n={n}")
-        c = ExactScalar.coerce(c)
-        rows[i][j] = rows[i][j] + c
-        rows[j][i] = rows[j][i] - c
-    return ExactMatrix(rows)
-
-
-def two_form_vector(coeffs: Dict[Tuple[int, int], object], n: int) -> List[ExactScalar]:
-    """Lex wedge coordinates of sum C_ij e_i ^ e_j (0-based pairs, i < j)."""
-    idx = WedgeIndex(n, 2)
-    out = [ExactScalar(0) for _ in range(len(idx))]
-    for (i, j), c in coeffs.items():
-        out[idx.rank((i, j))] = out[idx.rank((i, j))] + ExactScalar.coerce(c)
-    return out

@@ -129,7 +129,7 @@ def gram_schmidt_full(b):
     return mu, norms2
 
 
-def lll_full_recompute(embed, ncols, delta=0.99):
+def lll_full_recompute(embed, ncols):
     """Textbook LLL on the columns embed(e_0), ..., embed(e_{ncols-1}).
 
     The whole Gram-Schmidt state is recomputed at every sweep and column k
@@ -137,6 +137,7 @@ def lll_full_recompute(embed, ncols, delta=0.99):
     operations on each row are the ones a cached kernel must reproduce, on
     the same column layout, so its (z, b) must match this one bit for bit.
     Returns (z, b) with z[i] the integer coordinates of reduced column i.
+    The Lovasz constant is 0.99.
     """
     z = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
     b = np.stack([embed(c) for c in z], axis=1)
@@ -150,7 +151,7 @@ def lll_full_recompute(embed, ncols, delta=0.99):
                 b[:, k] = embed(z[k])
                 mu[k, :j] -= q * mu[j, :j]
                 mu[k, j] -= q
-        if norms2[k] >= (delta - mu[k, k - 1] ** 2) * norms2[k - 1]:
+        if norms2[k] >= (0.99 - mu[k, k - 1] ** 2) * norms2[k - 1]:
             k += 1
         else:
             z[k - 1], z[k] = z[k], z[k - 1]
@@ -185,6 +186,45 @@ def lambda1_sup_naive_n3(t, v1, v2):
     # pure head vectors (b = c = 0)
     best = min(best, e2t)
     return best
+
+
+def box_count_naive_n3(t, v1, v2, radius):
+    """Nonzero vectors of g_t u(v) Z^3 with sup norm <= radius, by direct
+    (b, c) scanning.
+
+    A vector a + v1 b + v2 c, b, c has tail e^{-t} (b, c), so |b|, |c| <=
+    R e^t, and for each tail the heads e^{2t} |a + y| <= R allow exactly the
+    integers a in [-y - R e^{-2t}, -y + R e^{-2t}]."""
+    e2t, emt = math.exp(2 * t), math.exp(-t)
+    kmax = int(math.floor(radius * math.exp(t))) + 1
+    half = radius / e2t
+    count = 0
+    for b in range(-kmax, kmax + 1):
+        for c in range(-kmax, kmax + 1):
+            if max(emt * abs(b), emt * abs(c)) > radius + 1e-9:
+                continue
+            y = v1 * b + v2 * c
+            for a in range(math.floor(-y - half) - 1, math.ceil(-y + half) + 2):
+                if (a, b, c) == (0, 0, 0):
+                    continue
+                if e2t * abs(a + y) <= radius + 1e-9:
+                    count += 1
+    return count
+
+
+def in_affine_span(span, point):
+    """Whether a curve point lies in an affine span {(x, x~ A)}: after the
+    coordinates are permuted by span.order, each dependent coordinate equals
+    (1, x) times its column of span.matrix. Entries need only exact + and *
+    (Fractions or ExactScalars); span.matrix None is the full span."""
+    if span.matrix is None:
+        return True
+    permuted = [point[i] for i in span.order]
+    x1 = [1] + permuted[:span.d - 1]
+    for col, value in enumerate(permuted[span.d - 1:]):
+        if sum(xi * row[col] for xi, row in zip(x1, span.matrix.rows)) != value:
+            return False
+    return True
 
 
 # -- instability ---------------------------------------------------------------

@@ -6,6 +6,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from latflow import cli
 
 CMD = [sys.executable, "-m", "latflow"]
 
@@ -208,3 +211,108 @@ def test_probe_json():
                   "--qmax", "10000")
     assert res.returncode == 0
     assert json.loads(res.stdout)["kind"] == "evidence-nonmember"
+
+
+# -- edges of the coerced options, in process ----------------------------------
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["dioph", "ext", "--n", "4", "--a", "1/0,2;3,4"], "1/0"),
+    (["dioph", "approx", "--a", "1/0", "--qmax", "3"], "1/0"),
+    (["dioph", "approx", "--a", "0.5,1/0", "--qmax", "3"], "1/0"),
+    (["dioph", "approx", "--a", "1e400", "--qmax", "3"], "1000000"),
+    (["dioph", "exponent", "--a", "1e400", "--qmax", "10"], "1000000"),
+    (["dirichlet", "--x", "0.5", "--delta", "1", "--t", "nan"], "nan"),
+    (["dirichlet", "--x", "0.5", "--delta", "1", "--t", "2,inf"], "inf"),
+    (["dirichlet", "--x", "nan,0.2", "--delta", "1", "--t", "2"], "nan"),
+])
+def test_zero_denominators_and_non_finite_values_exit_2(argv, named, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+EDGE_NUMBERS = ["0", "-1", "+2", "2.5", "-0.5", "1e1", "1E-3", "-2.5e1", "1/3", "-7/2",
+                "1/0", "nan", "-inf", "inf", "1e400", "-1e400", "1.5e400", "x"]
+EDGE_INTS = ["0", "-1", "+2", "2.5", "1e3", "1/0", "nan", "inf", "1e400", "x"]
+RADICALS = ["1+r2", "-1/2-3/4r2", "r5", "2r3", "1-1/0r2", "12r2"]
+# JSON values a config may hold where a flag can only give a string
+JSON_VALUES = [True, False, 3, -1, 2.5, float("inf"), float("nan"),
+               [[1, 2], [3]], [1, [2]], [[True]], [], {}]
+
+
+def _joined(entries, sep, max_size):
+    return st.lists(entries, min_size=1, max_size=max_size).map(sep.join)
+
+
+NUMBER = st.sampled_from(EDGE_NUMBERS)
+INT = st.sampled_from(EDGE_INTS)
+NUMBER_LIST = _joined(NUMBER, ",", 3)
+# mixed radicals and ragged rows
+MATRIX = _joined(_joined(st.sampled_from(EDGE_NUMBERS + RADICALS), ",", 3), ";", 2)
+NAME = st.sampled_from(["x", "E", "wedge9", ""])
+
+# command -> {option: (a valid value, edge values)}; a flag is None when left
+# off and True when set
+COMMANDS = {
+    ("dioph", "approx"): {"a": ("0.41,0.73", MATRIX), "qmax": ("3", INT),
+                          "r": ("1", NUMBER), "budget": ("1000", INT)},
+    ("dioph", "exponent"): {"a": ("1/3,1-r2", MATRIX), "qmax": ("10", INT)},
+    ("dioph", "ext"): {"n": ("4", INT), "a": ("1,2;3,4", MATRIX)},
+    ("dioph", "probe"): {"a": ("0.41", MATRIX), "r": ("2", NUMBER), "qmax": ("3", INT),
+                         "target": ("W", NAME), "c": ("1", NUMBER)},
+    ("dirichlet",): {"x": ("0.41,0.73", NUMBER_LIST), "form": ("lf", NAME),
+                     "delta": ("0.5", NUMBER_LIST), "t": ("2,3", NUMBER_LIST)},
+    ("kempf",): {"v": ("1,0", st.one_of(NUMBER_LIST, MATRIX)),
+                 "rep": ("standard", NAME), "n": ("2", INT)},
+    ("roots", "build"): {"family": ("C", NAME), "rank": ("2", INT)},
+    ("roots", "check"): {"family": ("A", NAME), "rank": ("2", INT), "weight": ("1", INT),
+                         "all": (None, st.just(True)), "max_rank": ("2", INT)},
+    ("sim", "example"): {"n": ("4", INT), "r": ("2", INT), "m": ("2", INT),
+                         "D": ("2", INT)},
+    ("sim", "translate"): {"curve": ("CURVE", st.just("CURVE")), "t": ("1,2", NUMBER_LIST),
+                           "samples": ("2", INT), "seed": ("1", INT),
+                           "radius": ("1.5", NUMBER), "eps": ("0.1", NUMBER),
+                           "budget": ("100000", INT)},
+}
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, config) for one command: each option keeps its valid value,
+    takes an edge value, is left out, or moves to the config file with its
+    string or a JSON value."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv, config = list(command), {}
+    for name, (valid, edges) in COMMANDS[command].items():
+        where = draw(st.sampled_from(["valid", "valid", "edge", "config", "omit"]))
+        value = draw(edges) if where == "edge" else valid
+        if where == "omit" or value is None:
+            continue
+        if where == "config":
+            config[name] = draw(st.one_of(st.just(value), st.sampled_from(JSON_VALUES)))
+        else:
+            flag = "--" + name.replace("_", "-")
+            argv.append(flag if value is True else f"{flag}={value}")
+    return argv, config
+
+
+@pytest.fixture(scope="module")
+def edge_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("edges")
+    write_parabola(path / "p.json")
+    return path
+
+
+@given(cli_calls())
+@settings(max_examples=300)
+def test_cli_input_edges_exit_cleanly(edge_dir, call):
+    """No coerced option value ends in a traceback: every run exits 0, 2 or 3."""
+    argv, config = call
+    curve = str(edge_dir / "p.json")
+    argv = [a.replace("CURVE", curve) for a in argv]
+    if config:
+        cfg = edge_dir / "cfg.json"
+        cfg.write_text(json.dumps(config).replace("CURVE", curve))
+        argv += ["--config", str(cfg)]
+    assert cli.main(argv) in (0, 2, 3)

@@ -34,14 +34,14 @@ def test_parse_serialize_roundtrip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "r", "1+", "r4x", "2.5", "one"]:
+    for bad in ["", "r", "1+", "r4x", "2.5", "one", "1/0", "1-1/0r2"]:
         with pytest.raises(ExactError):
             ExactScalar.parse(bad)
 
 
 def test_conjugate_product_is_rational():
     s = ExactScalar(1, 1, 2)
-    assert (s * s.conjugate()).serialize() == "-1"
+    assert (s * ExactScalar(1, -1, 2)).serialize() == "-1"
     assert s.inverse().serialize() == "-1+r2"
     assert (s * s.inverse()).serialize() == "1"
     assert 1 / s == s.inverse() and 2 / s == 2 * s.inverse()
@@ -120,7 +120,7 @@ def test_matrix_product_matches_numpy():
 
 
 def test_matrix_identity_and_transpose():
-    eye = ExactMatrix.identity(3)
+    eye = ExactMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     m = ExactMatrix([[1, 2, 3], [4, 5, 6]])
     assert (m @ eye) == m
     assert m.transpose().nrows == 3 and m.transpose().ncols == 2
@@ -185,7 +185,7 @@ def quadratic_rows(draw):
 @given(quadratic_rows())
 def test_inverse_over_quadratic_fields(rows):
     m = ExactMatrix(rows)
-    eye = ExactMatrix.identity(m.nrows)
+    eye = ExactMatrix([[int(i == j) for j in range(m.nrows)] for i in range(m.nrows)])
     if m.det():
         inv = m.inverse()
         assert m @ inv == eye
@@ -202,6 +202,33 @@ def test_inverse_of_singular_matrix_raises():
     assert m.det() == 0
     with pytest.raises(ExactError, match="matrix is singular"):
         m.inverse()
+
+
+def test_pow_multiplies_once_per_bit_and_square(monkeypatch):
+    calls = []
+    mul = ExactScalar.__mul__
+    monkeypatch.setattr(ExactScalar, "__mul__",
+                        lambda x, y: calls.append(1) or mul(x, y))
+    x = ExactScalar(1, 1, 2)
+    for e in range(17):
+        calls.clear()
+        x**e
+        # squarings up to the top bit, one product per further set bit
+        assert len(calls) == max(e.bit_length() - 1 + bin(e).count("1") - 1, 0)
+
+
+@given(st.one_of(RATIONALS.map(ExactScalar), _quadratic(2), _quadratic(5)),
+       st.integers(-4, 8))
+def test_pow_matches_repeated_multiplication(x, e):
+    assert x**0 == 1
+    if e < 0 and not x:
+        with pytest.raises(ZeroDivisionError):
+            x**e
+        return
+    want = ExactScalar(1)
+    for _ in range(abs(e)):
+        want = want * x
+    assert x**e == (want if e >= 0 else want.inverse())
 
 
 def _leading_ranks(rows):

@@ -7,9 +7,7 @@ import pytest
 
 import oracles
 from latflow.errors import BudgetError, InputError
-from latflow.flows import FlowSpec, make_flow
 from latflow.lab.grids import Grid3
-from latflow.lab.reduction import siegel_count
 
 
 def test_lambda1_matches_dense_scan():
@@ -24,16 +22,15 @@ def test_lambda1_matches_dense_scan():
 
 
 def test_box_count_matches_matrix_path():
-    """The grid's Siegel count must equal the generic reduction pipeline's
-    count on the explicit flowed basis."""
+    """The grid's Siegel count must equal a direct (b, c) scan of the
+    flowed lattice."""
     rng = np.random.default_rng(81)
     for _ in range(10):
         t = float(rng.uniform(0.0, 1.8))
         v1, v2 = (float(x) for x in rng.uniform(-2, 2, size=2))
         radius = float(rng.choice([0.8, 1.0, 1.5]))
         grid = Grid3(t, radius)
-        basis = make_flow(FlowSpec("g", 3), t) @ oracles.u_row_float([v1, v2])
-        assert grid.box_count(v1, v2) == siegel_count(basis, radius)
+        assert grid.box_count(v1, v2) == oracles.box_count_naive_n3(t, v1, v2, radius)
 
 
 def test_counts_are_even():

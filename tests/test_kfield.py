@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from latflow.errors import InputError
 from latflow.exact import ExactMatrix, ExactScalar
-from latflow.flows import curve_eval, span_contains, span_matrix_entries_rational
+from latflow.flows import curve_eval, span_matrix_entries_rational
 from latflow.lab.kfield import quadratic_subspace_example
 
 
@@ -25,8 +26,9 @@ def test_base_change_frozen_for_d2():
 def test_base_change_inverts():
     for d in (2, 3, 5):
         ex = quadratic_subspace_example(4, 2, 2, d)
-        assert ex.l0_inv @ ex.l0 == ExactMatrix.identity(4)
-        assert ex.l0 @ ex.l0_inv == ExactMatrix.identity(4)
+        eye = ExactMatrix([[int(i == j) for j in range(4)] for i in range(4)])
+        assert ex.l0_inv @ ex.l0 == eye
+        assert ex.l0 @ ex.l0_inv == eye
 
 
 def test_line_evaluation_is_exact():
@@ -42,7 +44,7 @@ def test_line_span_is_a_plane_with_irrational_slopes():
         assert not span_matrix_entries_rational(ex.span)
         # every point of the line lies in the span, by construction
         for s in (Fraction(0), Fraction(2, 5), Fraction(-1)):
-            assert span_contains(ex.span, curve_eval(ex.curve, [s]))
+            assert oracles.in_affine_span(ex.span, curve_eval(ex.curve, [s]))
 
 
 def test_span_slopes_are_conjugation_covariant():

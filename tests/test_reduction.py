@@ -12,23 +12,23 @@ from latflow.exact import ExactScalar
 from latflow.flows import Curve, curve_eval
 from latflow.lab.experiments import _head_form, _head_value
 from latflow.lab.reduction import (
+    box_count_embedded,
     enumerate_ball,
-    lll_reduce,
     lll_with_transform,
     reduce_embedded,
-    shortest_vector,
-    siegel_count,
     sup_first_minimum,
 )
 
 
 def test_lll_identity_fixed():
-    assert np.allclose(lll_reduce(np.eye(3)), np.eye(3))
+    red, z = lll_with_transform(np.eye(3))
+    assert np.allclose(red, np.eye(3))
+    assert z == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_lll_shears_away_huge_entry():
     basis = np.array([[1.0, 0.0], [1e6, 1.0]])
-    red = lll_reduce(basis)
+    red, _ = lll_with_transform(basis)
     norms = sorted(np.linalg.norm(red, axis=0))
     assert norms[0] == pytest.approx(1.0)
     assert norms[1] == pytest.approx(1.0)
@@ -55,23 +55,39 @@ def test_lll_preserves_determinant():
     assert kept > 80
 
 
+def _first_minimum(basis):
+    """Euclidean first minimum of the columns' lattice by LLL plus ball
+    enumeration, with its minimizers as coordinates in the given basis,
+    one of each +- pair (the larger tuple)."""
+    reduced, z = lll_with_transform(basis)
+    bound = float(min(np.linalg.norm(reduced, axis=0)))
+    found = []
+    for zc in enumerate_ball(reduced, bound * (1.0 + 1e-9)):
+        coords = tuple(int(x) for x in np.asarray(z).T @ zc)
+        pair = max(coords, tuple(-c for c in coords))
+        found.append((float(np.linalg.norm(reduced @ zc)), pair))
+    norm = min(n for n, _ in found)
+    return norm, sorted(c for n, c in found if n <= norm * (1.0 + 1e-9))
+
+
 def test_shortest_vector_on_z_n():
     for n in range(2, 6):
-        v, norm = shortest_vector(np.eye(n))
+        norm, minimizers = _first_minimum(np.eye(n))
         assert norm == pytest.approx(1.0)
-        assert np.allclose(v, np.eye(n)[:, 0])  # ties resolved to +e_1
+        assert minimizers == sorted(tuple(int(i == j) for i in range(n)) for j in range(n))
 
 
 def test_shortest_vector_prefers_short_axis():
-    v, norm = shortest_vector(np.diag([2.0, 1.0]))
+    norm, minimizers = _first_minimum(np.diag([2.0, 1.0]))
     assert norm == pytest.approx(1.0)
-    assert np.allclose(v, [0.0, 1.0])
+    assert minimizers == [(0, 1)]
 
 
 def test_shortest_vector_hexagonal():
     basis = np.array([[1.0, 0.5], [0.0, math.sqrt(3) / 2]])
-    _, norm = shortest_vector(basis)
+    norm, minimizers = _first_minimum(basis)
     assert norm == pytest.approx(1.0, abs=1e-12)
+    assert minimizers == [(0, 1), (1, -1), (1, 0)]  # six vectors, three pairs
 
 
 def test_shortest_vector_matches_naive():
@@ -82,33 +98,46 @@ def test_shortest_vector_matches_naive():
         basis = rng.uniform(-2, 2, size=(n, n))
         if abs(np.linalg.det(basis)) < 0.3:
             continue
-        _, norm = shortest_vector(basis)
+        norm, _ = _first_minimum(basis)
         assert norm == pytest.approx(oracles.shortest_vector_naive(basis), abs=1e-9)
         kept += 1
     assert kept > 25
 
 
 def test_shortest_vector_guards():
-    with pytest.raises(InputError):
-        shortest_vector(np.ones((2, 3)))
-    with pytest.raises(InputError):
-        shortest_vector(np.eye(9))
+    # the reduction refuses inputs without a first minimum to search for
+    for bad in (np.ones(3), np.ones((2, 3)), np.ones((2, 2)), np.zeros((3, 1))):
+        with pytest.raises(InputError):
+            lll_with_transform(bad)
+
+
+def _box_count(basis, radius):
+    """Siegel count of the columns' lattice through the embedded pipeline."""
+    basis = np.asarray(basis, dtype=float)
+
+    def embed(m):
+        return basis @ np.asarray(m, dtype=float)
+
+    z, b = reduce_embedded(embed, basis.shape[1])
+    return box_count_embedded(z, b, lambda m: float(np.max(np.abs(embed(m)))), radius)
 
 
 def test_siegel_count_squares():
     # Z^2: the sup ball of radius 1 holds the 8 neighbours of the origin
-    assert siegel_count(np.eye(2), 1.0) == 8
-    assert siegel_count(np.eye(2), 0.5) == 0
-    assert siegel_count(np.eye(2), 2.0) == 24
+    assert _box_count(np.eye(2), 1.0) == 8
+    assert _box_count(np.eye(2), 0.5) == 0
+    assert _box_count(np.eye(2), 2.0) == 24
+    with pytest.raises(InputError):
+        _box_count(np.eye(2), 0.0)
 
 
 def test_siegel_count_flowed_basis():
     # g_1 applied to Z^3 rescales the axes; count follows the box geometry:
     # the head needs a = 0, the tail allows |b|, |c| <= floor(R e)
     basis = np.diag([math.e**2, 1 / math.e, 1 / math.e])
-    assert siegel_count(basis, 1.0) == 24  # b, c in {-2..2}
-    assert siegel_count(basis, 0.4) == 8  # b, c in {-1..1}
-    assert siegel_count(basis, 0.3) == 0  # below e^{-1}
+    assert _box_count(basis, 1.0) == 24  # b, c in {-2..2}
+    assert _box_count(basis, 0.4) == 8  # b, c in {-1..1}
+    assert _box_count(basis, 0.3) == 0  # below e^{-1}
 
 
 def test_siegel_count_matches_naive():
@@ -120,7 +149,7 @@ def test_siegel_count_matches_naive():
         if abs(np.linalg.det(basis)) < 0.3:
             continue
         radius = float(rng.uniform(0.4, 1.6))
-        assert siegel_count(basis, radius) == oracles.box_count_naive(basis, radius)
+        assert _box_count(basis, radius) == oracles.box_count_naive(basis, radius)
         kept += 1
     assert kept > 25
 
@@ -207,14 +236,14 @@ def _flow_embed(n, t, s):
     return embed
 
 
-def _assert_lll_reduced(b, delta=0.99):
+def _assert_lll_reduced(b):
     mu, norms2 = oracles.gram_schmidt_full(b)
     m = b.shape[1]
     for i in range(m):
         for j in range(i):
             assert abs(mu[i, j]) <= 0.5 + 1e-9
     for k in range(1, m):
-        assert norms2[k] >= (delta - mu[k, k - 1] ** 2) * norms2[k - 1] * (1 - 1e-9)
+        assert norms2[k] >= (0.99 - mu[k, k - 1] ** 2) * norms2[k - 1] * (1 - 1e-9)
 
 
 def _lll_cases():

@@ -13,11 +13,11 @@ from latflow.rootsys import (
     classification_scan,
     is_dominant,
     is_minuscule,
+    minuscule_checks,
     reflect,
     reflection_number,
     saturate,
     supported_systems,
-    weyl_orbit,
 )
 
 F = Fraction
@@ -75,13 +75,31 @@ def test_saturation_of_first_fundamental():
     assert saturate(sorted(sat), a2) == sat
 
 
+def _weyl_orbit(lam, rs):
+    """Closure of {lam} under the simple reflections."""
+    orbit, queue = {tuple(lam)}, [tuple(lam)]
+    while queue:
+        v = queue.pop()
+        for alpha in rs.simple:
+            w = reflect(v, alpha)
+            if w not in orbit:
+                orbit.add(w)
+                queue.append(w)
+    return orbit
+
+
 def test_weyl_orbits():
     a2 = build_root_system("A", 2)
-    assert len(weyl_orbit(a2.fundamental[0], a2)) == 3
+    assert len(_weyl_orbit(a2.fundamental[0], a2)) == 3
     highest = next(r for r in a2.roots if is_dominant(r, a2))
-    assert len(weyl_orbit(highest, a2)) == 6
     # the orbit of the highest root is the whole system
-    assert weyl_orbit(highest, a2) == a2.roots
+    assert _weyl_orbit(highest, a2) == a2.roots
+    # the saturation of a minuscule weight is its Weyl orbit
+    checked = 0
+    for rs, i, pi, _ in minuscule_checks(3):
+        assert set(pi) == _weyl_orbit(rs.fundamental[i], rs)
+        checked += 1
+    assert checked == 13  # A1, A2 (2), A3 (3), B2, B3, C2, C3, D3 (3)
 
 
 def test_minuscule_predicate():

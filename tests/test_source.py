@@ -1,0 +1,38 @@
+"""Static checks on the package source."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "latflow"
+
+
+def _unused_imports(path):
+    """Names a module imports but never reads. A name listed in __all__ is
+    a re-export, and a line marked `noqa: F401` is kept on purpose."""
+    text = path.read_text()
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if "noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(e.value for e in node.value.elts)
+    return sorted(f"{path.relative_to(SRC.parent)}:{line} {name}"
+                  for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    files = sorted(SRC.rglob("*.py"))
+    assert len(files) > 10
+    unused = [u for f in files for u in _unused_imports(f)]
+    assert unused == []

@@ -4,7 +4,6 @@ Reference values come from oracles.py (permutation-sum determinants and
 matching-sum Pfaffians), never from the code under test.
 """
 
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,8 +13,6 @@ from latflow.exact import ExactError, ExactMatrix, ExactScalar
 from latflow.wedge import (
     WedgeIndex,
     pfaffian,
-    two_form_matrix,
-    two_form_vector,
     wedge_matrix,
     wedge_vector,
 )
@@ -33,11 +30,13 @@ def test_wedge_index_lex_order():
         WedgeIndex(3, 4)
 
 
+def _eye(n):
+    return ExactMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def test_wedge_matrix_of_identity():
     for n, k in [(3, 2), (4, 2), (5, 3)]:
-        assert wedge_matrix(ExactMatrix.identity(n), k) == ExactMatrix.identity(
-            len(WedgeIndex(n, k))
-        )
+        assert wedge_matrix(_eye(n), k) == _eye(len(WedgeIndex(n, k)))
 
 
 def test_wedge_matrix_entries_are_minors():
@@ -115,10 +114,10 @@ def test_wedge_vector_matches_matrix_action():
 
 
 def test_pfaffian_of_standard_form():
-    s = two_form_matrix({(0, 1): 1, (2, 3): 1}, 4)
+    s = ExactMatrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
     assert pfaffian(s).serialize() == "1"
     # flipping one block flips the sign
-    s2 = two_form_matrix({(0, 1): 1, (2, 3): -1}, 4)
+    s2 = ExactMatrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
     assert pfaffian(s2).serialize() == "-1"
 
 
@@ -138,16 +137,3 @@ def test_pfaffian_rejects_bad_input():
         pfaffian(ExactMatrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]))  # odd size
     with pytest.raises(ExactError):
         pfaffian(ExactMatrix([[1, 0], [0, 1]]))  # not antisymmetric
-
-
-def test_two_form_round_trip():
-    coeffs = {(0, 1): Fraction(2, 3), (1, 3): -1, (0, 2): 5}
-    vec = two_form_vector(coeffs, 4)
-    mat = two_form_matrix(coeffs, 4)
-    idx = WedgeIndex(4, 2)
-    for (i, j), c in coeffs.items():
-        assert vec[idx.rank((i, j))] == ExactScalar.coerce(c)
-        assert mat[i, j] == ExactScalar.coerce(c)
-        assert mat[j, i] == -ExactScalar.coerce(c)
-    with pytest.raises(ExactError):
-        two_form_matrix({(1, 0): 1}, 3)
