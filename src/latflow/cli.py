@@ -50,7 +50,8 @@ from .rootsys import (
 
 
 def _co_int(raw) -> int:
-    if isinstance(raw, bool):
+    # a config file gives JSON numbers: 3.0 reads as 3, and 2.9 is refused, not truncated
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
         raise InputError(f"expected an integer, got {raw!r}")
     try:
         return int(raw)
@@ -366,6 +367,7 @@ def _run_dioph_approx(v) -> int:
         r = a.ncols / a.nrows
     else:
         r = len(a[0]) / len(a)
+    dioph.check_exponent(r, v["qmax"])
     records = dioph.best_approximations(a, v["qmax"], budget=v["budget"])
     lines = ["qnorm,q,p,residual,quality"]
     for row in dioph.records_to_rows(records, r):

@@ -234,6 +234,18 @@ def _finalize_record(af, h, q, p, exact) -> ApproxRecord:
     return ApproxRecord(qnorm=h, q=qt, p=pt, residual=res)
 
 
+def check_exponent(r: float, qmax: int) -> None:
+    """Refuse an exponent r that is not finite, or for which the quality
+    residual * qnorm**r of a record up to qmax would overflow a double."""
+    if not math.isfinite(r):
+        raise InputError(f"r = {r} is not a finite number")
+    try:
+        float(qmax) ** r
+    except OverflowError:
+        raise InputError(f"r = {r} is out of range for qmax = {qmax}: "
+                         "qmax**r overflows a double") from None
+
+
 def records_to_rows(records: Sequence[ApproxRecord], r: float) -> List[dict]:
     return [
         {
@@ -378,6 +390,7 @@ def w_probe(
         raise InputError(f"unknown probe target {target!r}")
     if r <= 0:
         raise InputError("r must be positive")
+    check_exponent(r, qmax)
     tname = "W_r" if target == "W" else "W'_r"
     cert = rational_certificate(a)
     if cert is not None:

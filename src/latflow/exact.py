@@ -321,10 +321,6 @@ class ExactMatrix:
         if any(len(r) != self.ncols for r in self.rows):
             raise ExactError("ragged matrix rows")
 
-    @staticmethod
-    def zero(nrows: int, ncols: int) -> "ExactMatrix":
-        return ExactMatrix([[0] * ncols for _ in range(nrows)])
-
     def __getitem__(self, key):
         i, j = key
         return self.rows[i][j]

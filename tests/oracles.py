@@ -7,6 +7,7 @@ agree with these, never the other way around.
 """
 
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -442,3 +443,47 @@ def wedge_norm_content(w):
     for x in ints:
         content = math.gcd(content, abs(x))
     return norm2, content
+
+
+# -- root systems --------------------------------------------------------------
+
+
+def coroot_pairing(beta, alpha):
+    """<beta, alpha^v> = 2 (beta . alpha) / (alpha . alpha) as a Fraction."""
+    dot = lambda u, v: sum(Fraction(x) * Fraction(y) for x, y in zip(u, v))
+    return 2 * dot(beta, alpha) / dot(alpha, alpha)
+
+
+def root_string_closure(seed, roots, limit):
+    """The least set of weights holding `seed` that contains, with each weight
+    mu and root alpha, the whole alpha-string mu, mu - alpha, ...,
+    mu - <mu, alpha^v> alpha (the steps go up when the pairing is negative).
+    Breadth first, in Fraction vectors. Returns None as soon as the set
+    outgrows `limit` weights; raises ValueError on a non-integral pairing."""
+    seen = {tuple(Fraction(x) for x in mu) for mu in seed}
+    frontier = deque(seen)
+    while frontier:
+        mu = frontier.popleft()
+        for alpha in roots:
+            n = coroot_pairing(mu, alpha)
+            if n.denominator != 1:
+                raise ValueError(f"pairing {n} of {mu} with {alpha}")
+            for i in range(1, abs(int(n)) + 1):
+                k = i if n > 0 else -i
+                nu = tuple(m - k * a for m, a in zip(mu, alpha))
+                if nu not in seen:
+                    seen.add(nu)
+                    frontier.append(nu)
+                    if len(seen) > limit:
+                        return None
+    return seen
+
+
+def pairing_profile_roots(roots, weights):
+    """The roots, ascending, against which the multiset of pairings of
+    `weights` is exactly {+1, -1, 0, ..., 0}; none when fewer than 2 weights."""
+    if len(weights) < 2:
+        return []
+    wanted = [-1] + [0] * (len(weights) - 2) + [1]
+    return [alpha for alpha in sorted(roots)
+            if sorted(coroot_pairing(w, alpha) for w in weights) == wanted]

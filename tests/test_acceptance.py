@@ -75,7 +75,7 @@ def test_criterion_02_extended_matrix_values():
     assert ext.nrows == 5 and ext.ncols == 1
     assert [int(ext[i, 0].as_fraction()) for i in range(5)] == [-2, 1, -4, 3, 2]
     for n in (4, 6, 8):
-        ext = a_ext(ExactMatrix.zero(2, n - 2))
+        ext = a_ext(ExactMatrix([[0] * (n - 2), [0] * (n - 2)]))
         assert (ext.nrows, ext.ncols) == (2 * n - 3, math.comb(n - 2, 2))
 
 

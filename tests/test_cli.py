@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latflow import cli
+from latflow import cli, rootsys
 
 CMD = [sys.executable, "-m", "latflow"]
 
@@ -190,6 +190,18 @@ def test_roots_check_all():
         assert {"family", "rank", "weight_index", "phi1", "pi_descriptor", "witnesses"} <= set(report)
 
 
+@pytest.mark.parametrize("max_rank", ["0", "5", "-1"])
+def test_roots_check_all_rejects_a_max_rank_out_of_range(max_rank, monkeypatch, capsys):
+    def build(family, rank):
+        raise AssertionError(f"built {family}{rank}")
+
+    monkeypatch.setattr(rootsys, "build_root_system", build)
+    assert cli.main(["roots", "check", "--all", "--max-rank", max_rank]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: max rank {max_rank} out of the supported range 1..4\n"
+
+
 def test_roots_build():
     res = run_cli("roots", "build", "--family", "C", "--rank", "2")
     assert res.returncode == 0
@@ -279,22 +291,25 @@ COMMANDS = {
 
 @st.composite
 def cli_calls(draw):
-    """(argv, config) for one command: each option keeps its valid value,
-    takes an edge value, is left out, or moves to the config file with its
-    string or a JSON value."""
+    """(argv, config, fails) for one command: each option keeps its valid
+    value, takes an edge value, is left out, or moves to the config file with
+    its string, a JSON value or a float. `fails` is set when an integer option
+    reads a non-integral number from the config, which must exit 2."""
     command = draw(st.sampled_from(sorted(COMMANDS)))
-    argv, config = list(command), {}
+    argv, config, fails = list(command), {}, False
     for name, (valid, edges) in COMMANDS[command].items():
         where = draw(st.sampled_from(["valid", "valid", "edge", "config", "omit"]))
         value = draw(edges) if where == "edge" else valid
         if where == "omit" or value is None:
             continue
         if where == "config":
-            config[name] = draw(st.one_of(st.just(value), st.sampled_from(JSON_VALUES)))
+            got = draw(st.one_of(st.just(value), st.sampled_from(JSON_VALUES), st.floats()))
+            config[name] = got
+            fails = fails or (edges is INT and isinstance(got, float) and not got.is_integer())
         else:
             flag = "--" + name.replace("_", "-")
             argv.append(flag if value is True else f"{flag}={value}")
-    return argv, config
+    return argv, config, fails
 
 
 @pytest.fixture(scope="module")
@@ -307,12 +322,40 @@ def edge_dir(tmp_path_factory):
 @given(cli_calls())
 @settings(max_examples=300)
 def test_cli_input_edges_exit_cleanly(edge_dir, call):
-    """No coerced option value ends in a traceback: every run exits 0, 2 or 3."""
-    argv, config = call
+    """No coerced option value ends in a traceback: every run exits 0, 2 or 3,
+    and 2 when an integer option got a non-integral number."""
+    argv, config, fails = call
     curve = str(edge_dir / "p.json")
     argv = [a.replace("CURVE", curve) for a in argv]
     if config:
         cfg = edge_dir / "cfg.json"
         cfg.write_text(json.dumps(config).replace("CURVE", curve))
         argv += ["--config", str(cfg)]
-    assert cli.main(argv) in (0, 2, 3)
+    assert cli.main(argv) in ((2,) if fails else (0, 2, 3))
+
+
+# every integer option of the commands above, by command
+INT_OPTIONS = [(command, opt.name) for command in sorted(COMMANDS)
+               for opt in cli.build_parser().parse_args(list(command)).opts
+               if opt.coerce is cli._co_int]
+
+
+@pytest.mark.parametrize("command, name", INT_OPTIONS)
+def test_non_integral_config_number_exits_2(command, name, edge_dir, capsys):
+    """A JSON float from --config is not truncated to an integer option."""
+    argv = list(command)
+    for other, (valid, _) in COMMANDS[command].items():
+        if other != name and valid is not None:
+            argv.append(f"--{other.replace('_', '-')}={valid}")
+    argv = [a.replace("CURVE", str(edge_dir / "p.json")) for a in argv]
+    cfg = edge_dir / "int.json"
+    cfg.write_text(json.dumps({name: 2.9}))
+    assert cli.main(argv + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: expected an integer, got 2.9\n"
+
+
+def test_integral_config_number_is_an_integer(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"a": "1/3", "qmax": 3.0}))
+    assert cli.main(["dioph", "approx", "--config", str(cfg), "--dry-run"]) == 0
+    assert json.loads(capsys.readouterr().out)["plan"]["qmax"] == 3

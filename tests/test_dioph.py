@@ -233,7 +233,7 @@ def test_a_ext_frozen_column():
 
 def test_a_ext_zero_and_shapes():
     for n in (4, 6, 8):
-        ext = a_ext(ExactMatrix.zero(2, n - 2))
+        ext = a_ext(ExactMatrix([[0] * (n - 2), [0] * (n - 2)]))
         assert ext.nrows == 2 * n - 3
         assert ext.ncols == math.comb(n - 2, 2)
         assert all(
@@ -308,6 +308,16 @@ def test_probe_argument_validation():
         w_probe([[0.5]], r=2.0, qmax=100, target="V")
     with pytest.raises(InputError):
         w_probe([[0.5]], r=-1.0, qmax=100)
+
+
+def test_probe_refuses_an_exponent_that_is_not_finite_or_overflows():
+    # 2.0**1024 overflows a double, so a record at qnorm 2 has no quality
+    with pytest.raises(InputError, match=r"r = 1024.0 is out of range for qmax = 3"):
+        w_probe([[0.41]], r=1024.0, qmax=3)
+    for r in (math.nan, math.inf):
+        with pytest.raises(InputError, match=f"r = {r} is not a finite number"):
+            w_probe([[0.41]], r=r, qmax=30)
+    assert w_probe([[0.41]], r=600.0, qmax=3).r == 600.0
 
 
 def test_probe_json_shape():

@@ -4,7 +4,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from latflow.errors import InputError, InvariantError
 from latflow.rootsys import (
     _validate,
@@ -184,3 +187,102 @@ def test_validation_rejects_bad_simple_roots():
         _validate(replace(a2, rank=1, simple=(a1,), fundamental=a2.fundamental[:1]))
     _validate(a2)
 
+
+
+# -- rejections: each axiom failure raises its own error -----------------------
+
+
+def _scaled(c, v):
+    return tuple(c * x for x in v)
+
+
+def test_validate_rejects_a_zero_root():
+    a2 = build_root_system("A", 2)
+    with pytest.raises(InvariantError) as exc:
+        _validate(replace(a2, roots=a2.roots | {(F(0),) * 3}))
+    assert str(exc.value) == "zero root"
+
+
+def test_validate_rejects_root_multiples():
+    # BC1 = {+-a, +-2a} is closed under its reflections and all its pairings
+    # are integers; only the reducedness axiom fails. The roots are visited
+    # in order, so a tuple fixes which of the two multiples is seen first.
+    a1 = build_root_system("A", 1)
+    a = a1.simple[0]
+    short, long_ = (a, _scaled(-1, a)), (_scaled(2, a), _scaled(-2, a))
+    with pytest.raises(InvariantError) as exc:
+        _validate(replace(a1, roots=short + long_))
+    assert str(exc.value) == f"root multiple 2 present for {a}"
+    with pytest.raises(InvariantError) as exc:
+        _validate(replace(a1, roots=long_ + short))
+    assert str(exc.value) == f"root multiple 1/2 present for {_scaled(2, a)}"
+
+
+def test_validate_rejects_a_non_integral_pairing():
+    # B2 with its long roots stretched by 3: closed under reflections, but a
+    # short root pairs to +-1/3 with a long one
+    b2 = build_root_system("B", 2)
+    short = [r for r in b2.roots if sum(c * c for c in r) == 1]
+    long_ = [_scaled(3, r) for r in b2.roots if sum(c * c for c in r) == 2]
+    with pytest.raises(InvariantError) as exc:
+        _validate(replace(b2, roots=frozenset(short + long_)))
+    assert str(exc.value) in {f"non-integral pairing <{beta},{alpha}>"
+                              for beta in short for alpha in long_}
+
+
+def test_validate_rejects_a_system_not_closed_under_reflections():
+    # A2 without e_1 - e_3: every pairing is an integer, but s_a1(a2) = a1 + a2
+    a2 = build_root_system("A", 2)
+    a1, a2s = a2.simple
+    kept = frozenset([a1, a2s, _scaled(-1, a1), _scaled(-1, a2s)])
+    with pytest.raises(InvariantError) as exc:
+        _validate(replace(a2, roots=kept))
+    assert str(exc.value) in {f"reflection of {beta} in {alpha} leaves the system"
+                              for beta in kept for alpha in kept
+                              if reflect(beta, alpha) not in kept}
+
+
+def test_saturate_rejects_a_point_off_the_weight_lattice():
+    a2 = build_root_system("A", 2)
+    lam = (F(1, 3), F(0), F(-1, 3))
+    assert reflection_number(lam, (1, 0, -1)) == F(2, 3)
+    with pytest.raises(InputError) as exc:
+        saturate([lam], a2)
+    assert str(exc.value) == f"{lam} is not in the weight lattice"
+
+
+def test_is_minuscule_rejects_a_weight_that_is_not_dominant():
+    a2 = build_root_system("A", 2)
+    with pytest.raises(InputError) as exc:
+        is_minuscule(_scaled(-1, a2.fundamental[0]), a2)
+    assert str(exc.value) == "minuscule test requires a dominant weight"
+
+
+# -- differential check against the Fraction oracle ---------------------------
+
+SYSTEMS = {rs.name: rs for rs in supported_systems(4)}
+# saturations grow fast (B4 at 2 rho holds 30,249 weights), so the oracle
+# stops at this many weights and a larger one is compared root by root only
+SATURATION_LIMIT = 100
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@settings(max_examples=8)
+@given(data=st.data())
+def test_kernel_matches_the_fraction_oracle(name, data):
+    """reflection_number and is_minuscule on lam = sum c_i omega_i with
+    0 <= c_i <= 2, and saturate and classification_check on its saturation."""
+    rs = SYSTEMS[name]
+    cs = data.draw(st.lists(st.integers(0, 2), min_size=rs.rank, max_size=rs.rank))
+    lam = tuple(sum(c * w[k] for c, w in zip(cs, rs.fundamental))
+                for k in range(rs.ambient))
+    pairings = [oracles.coroot_pairing(lam, alpha) for alpha in rs.roots]
+    assert [reflection_number(lam, alpha) for alpha in rs.roots] == pairings
+    assert is_minuscule(lam, rs) == all(p in (-1, 0, 1) for p in pairings)
+    pi = oracles.root_string_closure([lam], rs.roots, SATURATION_LIMIT)
+    event("saturation over the limit" if pi is None else "saturation compared")
+    if pi is not None:
+        assert saturate([lam], rs) == pi
+        weights = sorted(pi)
+        assert classification_check(rs, weights) == oracles.pairing_profile_roots(
+            rs.roots, weights)

@@ -38,7 +38,7 @@ def test_pq_split_layout():
 
 def test_tail_plane_with_zero_block():
     # w = e3 ^ e4, A = 0: both projections vanish together
-    rep = residual_check(ExactMatrix.zero(2, 2), [0, 0, 0, 0, 0, 1])
+    rep = residual_check(ExactMatrix([[0, 0], [0, 0]]), [0, 0, 0, 0, 0, 1])
     assert rep.pi1_norm == 0.0 and rep.residual_norm == 0.0
     assert rep.in_band()
 
