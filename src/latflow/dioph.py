@@ -164,13 +164,14 @@ def _scaled_target(exact, qmax: int, ell: int):
     """Integer form (N, L) of a rational target, N = L A with L the lcm of the
     denominators, so the residual of q is dist(N q, L Z) / L exactly; None
     for a float target. N is int64 while |N q| + L stays below 2^62 for every
-    q up to qmax, and Python ints (object dtype) beyond."""
+    q up to qmax (and N itself when qmax is 0), and Python ints (object
+    dtype) beyond."""
     if exact is None:
         return None
     fracs = [[x.as_fraction() for x in row] for row in exact.rows]
     den = math.lcm(*(f.denominator for row in fracs for f in row))
     nums = [[int(f * den) for f in row] for row in fracs]
-    bound = den + max(abs(v) for row in nums for v in row) * qmax * ell
+    bound = den + max(abs(v) for row in nums for v in row) * max(qmax, 1) * ell
     return np.array(nums, dtype=np.int64 if bound < 2**62 else object), den
 
 
@@ -235,8 +236,11 @@ def _finalize_record(af, h, q, p, exact) -> ApproxRecord:
 
 
 def check_exponent(r: float, qmax: int) -> None:
-    """Refuse an exponent r that is not finite, or for which the quality
-    residual * qnorm**r of a record up to qmax would overflow a double."""
+    """Refuse a qmax below 1, an exponent r that is not finite, or one for
+    which the quality residual * qnorm**r of a record up to qmax would
+    overflow a double."""
+    if qmax < 1:
+        raise InputError("qmax must be >= 1")
     if not math.isfinite(r):
         raise InputError(f"r = {r} is not a finite number")
     try:

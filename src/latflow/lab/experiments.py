@@ -235,14 +235,25 @@ def translate_experiment(
         raise InputError("eps must be positive")
     if not 0 < box_radius < math.inf:
         raise InputError(f"box radius must be positive and finite, got {box_radius!r}")
+    n = curve.n
+    # the Haar value (2R)^n and the squared enumeration radius n R^2
+    try:
+        in_range = (0 < (2.0 * box_radius) ** n < math.inf
+                    and 0 < n * box_radius * box_radius < math.inf)
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise InputError(f"box radius R = {box_radius!r} is out of range for n = {n}: "
+                         "(2R)^n and n R^2 must be finite nonzero doubles")
     if seed is None:
         raise InputError("a seed is required for sampling")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     t_list = [float(t) for t in t_grid]
     if not t_list:
         raise InputError("empty t grid")
     if len(set(t_list)) != len(t_list):
         raise InputError(f"repeated t in the grid: {t_list}")
-    n = curve.n
     for t in t_list:
         _flow_scales(n, t)
 

@@ -46,13 +46,17 @@ def test_usage_errors_exit_2(tmp_path):
     assert run_cli("nonsense").returncode == 2
     assert run_cli("dioph", "probe", "--a", "0.5", "--r", "2", "--qmax", "100",
                    "--target", "X").returncode == 2
-    # t or the box radius out of range: exit 2 naming the value, no traceback
+    # t, the box radius or the seed out of range: exit 2 naming the value, no traceback
     curve = write_parabola(tmp_path / "p.json")
     # t = 200 and -400: the scales are finite, but e^800 overflows and e^-800 is 0
     for argv, named in ((["--t=1e3"], "t = 1000.0"), (["--t=nan"], "t = nan"),
                         (["--t=200"], "t = 200.0 is out of range for n = 3"),
                         (["--t=-400"], "t = -400.0 is out of range for n = 3"),
-                        (["--t", "1", "--radius=inf"], "radius")):
+                        (["--t", "1", "--radius=inf"], "radius"),
+                        # (2R)^3 underflows to 0, and 3 R^2 overflows to inf
+                        (["--t=1", "--radius=1e-200"], "R = 1e-200 is out of range for n = 3"),
+                        (["--t=1", "--radius=1e300"], "R = 1e+300 is out of range for n = 3"),
+                        (["--t=1", "--seed=-1"], "seed must be >= 0, got -1")):
         res = run_cli("sim", "translate", "--curve", curve, "--samples", "2",
                       "--seed", "1", *argv)
         assert res.returncode == 2, res.stderr
@@ -234,6 +238,8 @@ def test_probe_json():
     (["dioph", "approx", "--a", "0.5,1/0", "--qmax", "3"], "1/0"),
     (["dioph", "approx", "--a", "1e400", "--qmax", "3"], "1000000"),
     (["dioph", "exponent", "--a", "1e400", "--qmax", "10"], "1000000"),
+    # 0.0 ** -0.5 divides by zero
+    (["dioph", "approx", "--a", "0.5", "--qmax", "0", "--r", "-0.5"], "qmax must be >= 1"),
     (["dirichlet", "--x", "0.5", "--delta", "1", "--t", "nan"], "nan"),
     (["dirichlet", "--x", "0.5", "--delta", "1", "--t", "2,inf"], "inf"),
     (["dirichlet", "--x", "nan,0.2", "--delta", "1", "--t", "2"], "nan"),
@@ -245,7 +251,8 @@ def test_zero_denominators_and_non_finite_values_exit_2(argv, named, capsys):
 
 
 EDGE_NUMBERS = ["0", "-1", "+2", "2.5", "-0.5", "1e1", "1E-3", "-2.5e1", "1/3", "-7/2",
-                "1/0", "nan", "-inf", "inf", "1e400", "-1e400", "1.5e400", "x"]
+                "1/0", "nan", "-inf", "inf", "1e400", "-1e400", "1.5e400", "1e-200", "1e300",
+                "x"]
 EDGE_INTS = ["0", "-1", "+2", "2.5", "1e3", "1/0", "nan", "inf", "1e400", "x"]
 RADICALS = ["1+r2", "-1/2-3/4r2", "r5", "2r3", "1-1/0r2", "12r2"]
 # JSON values a config may hold where a flag can only give a string

@@ -51,6 +51,14 @@ def test_zero_matrix_short_circuit():
     assert recs[0].exact_zero
 
 
+@pytest.mark.parametrize("a", [[[2**63]], [[2**63, 1]], [[10**300], [1]]])
+def test_integer_target_beyond_int64(a):
+    """An integer target is certified at q = e_1 before any shell is walked;
+    its entries beyond int64 must not be stored in int64 on the way."""
+    recs = best_approximations(ExactMatrix(a), 3)
+    assert [(r.qnorm, r.exact_zero) for r in recs] == [(1, True)]
+
+
 def test_minima_monotone():
     """qnorms strictly increase and residuals strictly decrease."""
     rng = np.random.default_rng(50)

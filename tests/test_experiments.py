@@ -13,6 +13,7 @@ import oracles
 from latflow.errors import InputError
 from latflow.exact import ExactScalar
 from latflow.flows import Curve
+from latflow.lab import experiments
 from latflow.lab.experiments import (
     _flow_stats,
     _head_form,
@@ -95,7 +96,12 @@ def test_aggregates_shape():
         assert agg["mean_siegel"] == pytest.approx(sum(sub) / len(sub))
 
 
-def test_validation():
+def _no_sampling(*args):
+    raise AssertionError("sampled before the inputs were checked")
+
+
+def test_validation(monkeypatch):
+    monkeypatch.setattr(experiments, "sample_ball", _no_sampling)
     c = _parabola()
     with pytest.raises(InputError):
         translate_experiment(c, [0.0], samples=0, eps=0.1, box_radius=1.0, seed=1)
@@ -103,18 +109,24 @@ def test_validation():
         translate_experiment(c, [0.0], samples=1, eps=0.0, box_radius=1.0, seed=1)
     with pytest.raises(InputError):
         translate_experiment(c, [0.0], samples=1, eps=0.1, box_radius=1.0, seed=None)
+    with pytest.raises(InputError, match=r"^seed must be >= 0, got -1$"):
+        translate_experiment(c, [0.0], samples=1, eps=0.1, box_radius=1.0, seed=-1)
     with pytest.raises(InputError):
         translate_experiment(c, [], samples=1, eps=0.1, box_radius=1.0, seed=1)
 
 
-def test_t_and_radius_out_of_range_are_rejected():
+def test_t_and_radius_out_of_range_are_rejected(monkeypatch):
+    monkeypatch.setattr(experiments, "sample_ball", _no_sampling)
     # at n = 3, t = 400 overflows only the head scale e^{(n-1)t} = e^800
     cases = [([1e3], 1.0, "t = 1000.0 is out of range for n = 3"),
              ([1.0, 400.0], 1.0, "t = 400.0 is out of range for n = 3"),
              ([-800.0], 1.0, "t = -800.0 is out of range"),
              ([math.nan], 1.0, "t = nan"),
              ([math.inf], 1.0, "t = inf"),
-             ([1.0], math.inf, "box radius must be positive and finite, got inf")]
+             ([1.0], math.inf, "box radius must be positive and finite, got inf"),
+             # (2R)^3 underflows to 0, and 3 R^2 overflows to inf
+             ([1.0], 1e-200, "box radius R = 1e-200 is out of range for n = 3"),
+             ([1.0], 1e300, "box radius R = 1e+300 is out of range for n = 3")]
     for t_grid, radius, message in cases:
         with pytest.raises(InputError, match=re.escape(message)):
             translate_experiment(_parabola(), t_grid, samples=1, eps=0.1,

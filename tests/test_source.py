@@ -1,6 +1,9 @@
 """Static checks on the package source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "latflow"
@@ -36,3 +39,13 @@ def test_no_unused_imports():
     assert len(files) > 10
     unused = [u for f in files for u in _unused_imports(f)]
     assert unused == []
+
+
+def test_cli_import_leaves_sympy_off_the_path():
+    """Heavy symbolic dependencies stay out of every command's start-up."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = ("import sys, latflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('sympy', 'mpmath')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True).stdout
+    assert out.strip() == "[]"
