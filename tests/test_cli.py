@@ -238,11 +238,11 @@ def test_probe_json():
     (["dioph", "approx", "--a", "0.5,1/0", "--qmax", "3"], "1/0"),
     (["dioph", "approx", "--a", "1e400", "--qmax", "3"], "1000000"),
     (["dioph", "exponent", "--a", "1e400", "--qmax", "10"], "1000000"),
-    # 0.0 ** -0.5 divides by zero
-    (["dioph", "approx", "--a", "0.5", "--qmax", "0", "--r", "-0.5"], "qmax must be >= 1"),
     (["dirichlet", "--x", "0.5", "--delta", "1", "--t", "nan"], "nan"),
     (["dirichlet", "--x", "0.5", "--delta", "1", "--t", "2,inf"], "inf"),
     (["dirichlet", "--x", "nan,0.2", "--delta", "1", "--t", "2"], "nan"),
+    # 0.0 ** -0.5 divides by zero
+    (["dioph", "approx", "--a", "0.5", "--qmax", "0", "--r", "-0.5"], "qmax must be >= 1"),
 ])
 def test_zero_denominators_and_non_finite_values_exit_2(argv, named, capsys):
     assert cli.main(argv) == 2
