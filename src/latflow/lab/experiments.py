@@ -4,7 +4,8 @@ For each sampled parameter s and each time t the lattice g_t u(phi(s)) Z^n
 is built and three numbers are recorded: the sup-norm first minimum, the
 count of nonzero lattice points in the sup ball of the box radius, and the
 flag lambda_1 < eps.  Every n and t goes through the same kernel: LLL
-reduction plus enumeration, with the expanding coordinate recomputed per
+reduction plus one enumeration per (sample, t), which yields both the first
+minimum and the box count, with the expanding coordinate recomputed per
 candidate from scaled integers, so that the huge e^{(n-1)t} scale never
 meets float cancellation.
 
@@ -99,23 +100,22 @@ def _flow_stats(
     box_radius: float,
     budget: int,
 ) -> Tuple[float, int]:
-    """(sup-norm first minimum, box count) of g_t u(phi) Z^n by reduction,
-    with the head coordinate evaluated from form = _head_form(phi)."""
+    """(sup-norm first minimum, box count) of g_t u(phi) Z^n by reduction
+    and one enumeration, with the head coordinate evaluated from
+    form = _head_form(phi)."""
     e_head, e_tail = _flow_scales(n, t)
 
-    def embed(z: List[int]) -> np.ndarray:
+    def embed(z: List[int]) -> List[float]:
         v = [e_head * _head_value(form, z)]
         v.extend(e_tail * float(zz) for zz in z[1:])
-        return np.array(v, dtype=float)
+        return v
 
     def sup_of(z: List[int]) -> float:
         tail = max(abs(zz) for zz in z[1:]) if n > 1 else 0
         return max(abs(e_head * _head_value(form, z)), e_tail * tail)
 
     z, b = reduction.reduce_embedded(embed, n)
-    _, lam1 = reduction.sup_first_minimum(z, b, sup_of, budget)
-    count = reduction.box_count_embedded(z, b, sup_of, box_radius, budget)
-    return lam1, count
+    return reduction.sup_first_minimum(z, b, sup_of, box_radius, budget)
 
 
 @dataclass(frozen=True)

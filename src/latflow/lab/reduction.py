@@ -10,18 +10,34 @@ at large t) can pass a refresh callback that recomputes a column's floats
 from its integer coordinates with exact arithmetic, so rounding never
 accumulates across column operations.
 
+The inner loops run on Python lists of floats: the lattices have 2 to 8
+dimensions, where a numpy call costs more than the arithmetic it does.
+Every inner product and every enumeration center is math.fsum of the
+products, which is correctly rounded, so the pivots depend neither on the
+BLAS build nor on an order of summation.  numpy appears only at the
+boundaries: the basis given to lll_with_transform and enumerate_ball, and
+the reduced matrix b that lll_with_transform and reduce_embedded return.
+gram_schmidt is the one Gram-Schmidt routine; LLL and the enumeration both
+call it.
+
 LLL keeps the Gram-Schmidt rows (b*, mu, |b*|^2) across sweeps, valid for
 rows 0..valid-1.  Row i reads only columns 0..i, so a size reduction of
 column k invalidates row k and a swap at k rows k-1 and k, each with every
 later row.  A sweep at k recomputes rows valid..k with the routine that
 gram_schmidt runs: the same float operations on the same inputs as a full
 pass, so the result is bit-identical to recomputing in every sweep.
+
+The flow experiments need two numbers per lattice, the sup-norm first
+minimum and the box count; sup_first_minimum gets both from one
+enumeration.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Tuple
+from math import fsum
+from operator import mul
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -31,49 +47,78 @@ DEFAULT_NODE_BUDGET = 5_000_000
 _LLL_MAX_SWEEPS = 100_000
 _LLL_DELTA = 0.99  # Lovasz constant
 
-
-def _gs_rows(b: np.ndarray, bstar: np.ndarray, mu: np.ndarray, norms2: np.ndarray,
-             start: int, stop: int) -> None:
-    """Gram-Schmidt rows start..stop-1 of the columns of b, in place; row i
-    reads only columns 0..i of b and rows 0..i-1."""
-    for i in range(start, stop):
-        v = b[:, i].copy()
-        for j in range(i):
-            mu[i, j] = np.dot(b[:, i], bstar[:, j]) / norms2[j]
-            v -= mu[i, j] * bstar[:, j]
-        bstar[:, i] = v
-        norms2[i] = np.dot(v, v)
-        if not norms2[i] > 0 or not math.isfinite(norms2[i]):
-            raise InputError("basis columns are dependent or singular")
+Column = Sequence[float]
 
 
-def gram_schmidt(b: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column Gram-Schmidt: returns (bstar, mu, norms2) with b*_i the
-    orthogonalized columns and mu[i, j] = <b_i, b*_j>/<b*_j, b*_j>."""
-    b = np.asarray(b, dtype=float)
-    n, m = b.shape
-    bstar = np.zeros((n, m))
-    mu = np.zeros((m, m))
-    norms2 = np.zeros(m)
-    _gs_rows(b, bstar, mu, norms2, 0, m)
+def _gs_rows(cols: List[Column], bstar: List[List[float]], mu: List[List[float]],
+             norms2: List[float], start: int, stop: int) -> None:
+    """Gram-Schmidt rows start..stop-1 of the columns, in place; row i reads
+    only columns 0..i and rows 0..i-1."""
+    try:
+        for i in range(start, stop):
+            col = cols[i]
+            row = mu[i]
+            v = col
+            for j in range(i):
+                w = bstar[j]
+                r = fsum(map(mul, col, w)) / norms2[j]
+                row[j] = r
+                v = [a - r * c for a, c in zip(v, w)]
+            bstar[i] = v
+            n2 = fsum(map(mul, v, v))
+            norms2[i] = n2
+            if not n2 > 0 or not math.isfinite(n2):
+                raise InputError("basis columns are dependent or singular")
+    except OverflowError as exc:  # fsum of finite products beyond a double
+        raise InputError("basis columns are dependent or singular") from exc
+
+
+def _check_columns(cols: Sequence[Column]) -> None:
+    """InputError naming the first column whose squared norm is not a
+    finite double (NaN or inf entries, or overflow)."""
+    for i, col in enumerate(cols):
+        try:
+            n2 = fsum(map(mul, col, col))
+        except OverflowError:
+            n2 = math.inf
+        if not math.isfinite(n2):
+            raise InputError(f"basis column {i} = {[float(x) for x in col]!r}: "
+                             "its squared norm is not a finite double")
+
+
+def gram_schmidt(cols: Sequence[Column]) -> Tuple[List[List[float]], List[List[float]],
+                                                  List[float]]:
+    """Gram-Schmidt of the columns (each a sequence of floats): returns
+    (bstar, mu, norms2) as lists, with bstar[i] the orthogonalized column i
+    and mu[i][j] = <b_i, b*_j>/<b*_j, b*_j> for j < i.
+
+    Raises InputError for a column whose squared norm is not a finite
+    double (NaN or inf entries, or overflow) and for dependent columns.
+    """
+    cols = list(cols)
+    _check_columns(cols)
+    m = len(cols)
+    bstar: List[List[float]] = [[] for _ in range(m)]
+    mu = [[0.0] * m for _ in range(m)]
+    norms2 = [0.0] * m
+    _gs_rows(cols, bstar, mu, norms2, 0, m)
     return bstar, mu, norms2
 
 
 def _lll_core(
     ncols: int,
-    embed: Callable[[List[int]], np.ndarray],
+    embed: Callable[[List[int]], Column],
 ) -> Tuple[List[List[int]], np.ndarray]:
     """Run LLL on the lattice spanned by embed(e_0), ..., embed(e_{ncols-1}).
 
-    Returns (z, b): z[i] is the integer coordinate vector of reduced column i
-    in terms of the original columns, b the float matrix of embedded reduced
-    columns.
+    embed returns a sequence of floats (a list is fastest).  Returns (z, b):
+    z[i] is the integer coordinate vector of reduced column i in terms of
+    the original columns, b the float matrix of embedded reduced columns.
     """
     z: List[List[int]] = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
     cols = [embed(c) for c in z]
-    b = np.stack(cols, axis=1)
-    bstar, mu, norms2 = gram_schmidt(b)  # dependent columns fail before any step
-    valid = ncols  # rows 0..valid-1 of (bstar, mu, norms2) describe b
+    bstar, mu, norms2 = gram_schmidt(cols)  # bad columns fail before any step
+    valid = ncols  # rows 0..valid-1 of (bstar, mu, norms2) describe cols
 
     k = 1
     sweeps = 0
@@ -81,37 +126,32 @@ def _lll_core(
         sweeps += 1
         if sweeps > _LLL_MAX_SWEEPS:
             raise InvariantError("LLL did not terminate within the sweep cap")
-        _gs_rows(b, bstar, mu, norms2, valid, k + 1)
+        _gs_rows(cols, bstar, mu, norms2, valid, k + 1)
         valid = k + 1
         # size-reduce column k against k-1 .. 0, updating mu row k locally
+        mu_k = mu[k]
         for j in range(k - 1, -1, -1):
-            r = mu[k, j]
+            r = mu_k[j]
             if not math.isfinite(r):
                 raise InvariantError("non-finite projection during reduction")
             ri = int(round(r))
             if ri:
                 z[k] = [zk - ri * zj for zk, zj in zip(z[k], z[j])]
+                mu_j = mu[j]
                 for i in range(j):
-                    mu[k, i] -= ri * mu[j, i]
-                mu[k, j] -= ri
+                    mu_k[i] -= ri * mu_j[i]
+                mu_k[j] -= ri
                 valid = k
-        if valid == k:  # column k moved; b[:, k] is not read above
-            b[:, k] = embed(z[k])
-        if norms2[k] >= (_LLL_DELTA - mu[k, k - 1] ** 2) * norms2[k - 1]:
+        if valid == k:  # column k moved; cols[k] is not read above
+            cols[k] = embed(z[k])
+        if norms2[k] >= (_LLL_DELTA - mu_k[k - 1] ** 2) * norms2[k - 1]:
             k += 1
         else:
             z[k], z[k - 1] = z[k - 1], z[k]
-            b[:, [k - 1, k]] = b[:, [k, k - 1]]
+            cols[k], cols[k - 1] = cols[k - 1], cols[k]
             valid = k - 1
             k = max(k - 1, 1)
-    return z, b
-
-
-def _matrix_embed(basis: np.ndarray) -> Callable[[List[int]], np.ndarray]:
-    def embed(zcol: List[int]) -> np.ndarray:
-        return basis @ np.array(zcol, dtype=float)
-
-    return embed
+    return z, np.array(cols, dtype=float).T
 
 
 def lll_with_transform(basis: np.ndarray) -> Tuple[np.ndarray, List[List[int]]]:
@@ -123,11 +163,12 @@ def lll_with_transform(basis: np.ndarray) -> Tuple[np.ndarray, List[List[int]]]:
     n, m = basis.shape
     if m < 1 or m > n:
         raise InputError(f"need 1 <= #columns <= dim, got {m} columns in R^{n}")
-    if m == 1:
-        if not np.any(basis[:, 0]):
-            raise InputError("basis columns are dependent or singular")
-        return basis.copy(), [[1]]
-    z, b = _lll_core(m, _matrix_embed(basis))
+    _check_columns(basis.T.tolist())  # basis @ e_i would spread a NaN or inf
+
+    def embed(zcol: List[int]) -> List[float]:
+        return (basis @ np.array(zcol, dtype=float)).tolist()
+
+    z, b = _lll_core(m, embed)
     return b, z
 
 
@@ -135,7 +176,7 @@ def enumerate_ball(
     basis: np.ndarray,
     radius: float,
     budget: int = DEFAULT_NODE_BUDGET,
-) -> List[np.ndarray]:
+) -> List[List[int]]:
     """Integer coefficient vectors z != 0 with ||basis @ z|| <= radius,
     one representative per +/- pair (the highest-index nonzero entry of z
     is positive).
@@ -144,12 +185,14 @@ def enumerate_ball(
     node budget turns that into a BudgetError instead of a hang.
     """
     basis = np.asarray(basis, dtype=float)
-    if radius < 0:
-        raise InputError("radius must be nonnegative")
-    _, mu, norms2 = gram_schmidt(basis)
-    m = basis.shape[1]
+    if not (radius >= 0 and math.isfinite(radius * radius)):
+        raise InputError(f"radius must be nonnegative with a finite square, got {radius!r}")
+    _, mu, norms2 = gram_schmidt(basis.T.tolist())
+    m = len(norms2)
+    # the center at a level is minus the sum of mu[j][level] * z_j over j > level
+    weights = [[mu[j][level] for j in range(level + 1, m)] for level in range(m)]
     r2 = radius * radius
-    out: List[np.ndarray] = []
+    out: List[List[int]] = []
     zvec = [0] * m
     nodes = 0
 
@@ -157,14 +200,16 @@ def enumerate_ball(
         nonlocal nodes
         if level < 0:
             if nonzero_above:
-                out.append(np.array(zvec, dtype=np.int64))
+                out.append(zvec.copy())
             return
-        center = -sum(mu[j, level] * zvec[j] for j in range(level + 1, m))
-        span = math.sqrt(max(remaining, 0.0) / norms2[level])
+        center = -fsum(map(mul, weights[level], zvec[level + 1:]))
+        norm2 = norms2[level]
+        span = math.sqrt(max(remaining, 0.0) / norm2)
         lo = math.ceil(center - span - 1e-12)
         hi = math.floor(center + span + 1e-12)
         if not nonzero_above and lo < 0:
             lo = 0
+        slack = remaining + 1e-9 * (1.0 + remaining)
         for zi in range(lo, hi + 1):
             nodes += 1
             if nodes > budget:
@@ -172,8 +217,8 @@ def enumerate_ball(
                     f"enumeration exceeded the node budget ({budget})"
                 )
             offset = zi - center
-            used = offset * offset * norms2[level]
-            if used > remaining + 1e-9 * (1.0 + remaining):
+            used = offset * offset * norm2
+            if used > slack:
                 continue
             zvec[level] = zi
             descend(level - 1, remaining - used, nonzero_above or zi != 0)
@@ -184,7 +229,7 @@ def enumerate_ball(
 
 
 def reduce_embedded(
-    embed: Callable[[List[int]], np.ndarray],
+    embed: Callable[[List[int]], Column],
     ncols: int,
 ) -> Tuple[List[List[int]], np.ndarray]:
     """LLL on the lattice spanned by embed(e_i); see _lll_core.
@@ -196,33 +241,41 @@ def reduce_embedded(
     return _lll_core(ncols, embed)
 
 
-def _coords(z: List[List[int]], zc: np.ndarray) -> List[int]:
-    c = zc.tolist()
-    return [sum(zi * ci for zi, ci in zip(col, c)) for col in zip(*z)]
+def _coords(z: List[List[int]], zc: List[int]) -> List[int]:
+    return [sum(zi * ci for zi, ci in zip(col, zc)) for col in zip(*z)]
 
 
 def sup_first_minimum(
     z: List[List[int]],
     b: np.ndarray,
     sup_of: Callable[[List[int]], float],
+    box_radius: float,
     budget: int = DEFAULT_NODE_BUDGET,
-) -> Tuple[List[int], float]:
-    """First minimum of the sup norm for a reduced embedded lattice.
+) -> Tuple[float, int]:
+    """(first minimum of the sup norm, number of nonzero lattice vectors v
+    with sup_norm(v) <= box_radius) for a reduced embedded lattice.
 
     (z, b) comes from reduce_embedded; sup_of evaluates the sup norm of an
     integer coordinate vector, exactly where it matters (the flow
     experiments recompute the expanding coordinate without cancellation).
-    Returns (coordinates, value).
+    One enumeration serves both numbers: the Euclidean ball of radius
+    sqrt(n) max(best column, box_radius) holds every vector of sup norm at
+    most either.  The count is always even, since v and -v land in the box
+    together.
     """
-    best_m = min(z, key=sup_of)
-    best = sup_of(best_m)
-    ball = best * math.sqrt(b.shape[0]) * (1.0 + 1e-9)
+    if not box_radius > 0:
+        raise InputError("box radius must be positive")
+    best = min(map(sup_of, z))
+    ball = max(best, box_radius) * math.sqrt(b.shape[0]) * (1.0 + 1e-9)
+    limit = box_radius + 1e-9
+    half = 0
     for zc in enumerate_ball(b, ball, budget):
-        m = _coords(z, zc)
-        s = sup_of(m)
+        s = sup_of(_coords(z, zc))
         if s < best:
-            best, best_m = s, m
-    return list(best_m), best
+            best = s
+        if s <= limit:
+            half += 1
+    return best, 2 * half
 
 
 def box_count_embedded(
@@ -232,16 +285,5 @@ def box_count_embedded(
     box_radius: float,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> int:
-    """Number of nonzero lattice vectors v with sup_norm(v) <= box_radius,
-    for a reduced embedded lattice (see sup_first_minimum).
-
-    Always even, since v and -v land in the box together.
-    """
-    if not box_radius > 0:
-        raise InputError("box radius must be positive")
-    ball = box_radius * math.sqrt(b.shape[0]) * (1.0 + 1e-9)
-    half = 0
-    for zc in enumerate_ball(b, ball, budget):
-        if sup_of(_coords(z, zc)) <= box_radius + 1e-9:
-            half += 1
-    return 2 * half
+    """The box count of sup_first_minimum alone."""
+    return sup_first_minimum(z, b, sup_of, box_radius, budget)[1]

@@ -80,6 +80,8 @@ def minors_matrix(rows, k):
 
 
 def _coeff_bound(basis, radius):
+    """Bound on |z_i| for basis @ z of sup norm <= radius: z = inv @ v, so
+    |z_i| <= sum_j |inv_ij| |v_j| <= radius * (row sum of |inv|)."""
     inv = np.linalg.inv(np.asarray(basis, dtype=float))
     return int(math.ceil(radius * np.abs(inv).sum(axis=1).max())) + 1
 
@@ -99,11 +101,26 @@ def shortest_vector_naive(basis):
     return best
 
 
+def sup_minimum_naive(basis):
+    """Sup-norm first minimum by dense coefficient enumeration."""
+    basis = np.asarray(basis, dtype=float)
+    n = basis.shape[1]
+    start = float(np.abs(basis).max(axis=0).min())
+    bound = _coeff_bound(basis, start)
+    best = math.inf
+    for z in product(range(-bound, bound + 1), repeat=n):
+        if not any(z):
+            continue
+        v = basis @ np.asarray(z, dtype=float)
+        best = min(best, float(np.max(np.abs(v))))
+    return best
+
+
 def box_count_naive(basis, radius):
     """Nonzero lattice points with sup-norm <= radius, dense enumeration."""
     basis = np.asarray(basis, dtype=float)
     n = basis.shape[1]
-    bound = _coeff_bound(basis, radius * math.sqrt(n))
+    bound = _coeff_bound(basis, radius)
     count = 0
     for z in product(range(-bound, bound + 1), repeat=n):
         if not any(z):
@@ -115,7 +132,8 @@ def box_count_naive(basis, radius):
 
 
 def gram_schmidt_full(b):
-    """(mu, norms2) of the columns of b, every row computed afresh."""
+    """(mu, norms2) of the columns of b, every row computed afresh; each
+    inner product is the correctly rounded sum (math.fsum) of the products."""
     n, m = b.shape
     bstar = np.zeros((n, m))
     mu = np.zeros((m, m))
@@ -123,10 +141,10 @@ def gram_schmidt_full(b):
     for i in range(m):
         v = b[:, i].copy()
         for j in range(i):
-            mu[i, j] = np.dot(b[:, i], bstar[:, j]) / norms2[j]
+            mu[i, j] = math.fsum(b[:, i] * bstar[:, j]) / norms2[j]
             v -= mu[i, j] * bstar[:, j]
         bstar[:, i] = v
-        norms2[i] = np.dot(v, v)
+        norms2[i] = math.fsum(v * v)
     return mu, norms2
 
 

@@ -1,6 +1,7 @@
 """Lattice reduction and enumeration, cross-checked against dense scans."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,8 @@ from latflow.exact import ExactScalar
 from latflow.flows import Curve, curve_eval
 from latflow.lab.experiments import _head_form, _head_value
 from latflow.lab.reduction import (
-    box_count_embedded,
     enumerate_ball,
+    gram_schmidt,
     lll_with_transform,
     reduce_embedded,
     sup_first_minimum,
@@ -111,6 +112,10 @@ def test_shortest_vector_guards():
             lll_with_transform(bad)
 
 
+def _sup_of(basis):
+    return lambda m: float(np.max(np.abs(basis @ np.asarray(m, dtype=float))))
+
+
 def _box_count(basis, radius):
     """Siegel count of the columns' lattice through the embedded pipeline."""
     basis = np.asarray(basis, dtype=float)
@@ -119,7 +124,7 @@ def _box_count(basis, radius):
         return basis @ np.asarray(m, dtype=float)
 
     z, b = reduce_embedded(embed, basis.shape[1])
-    return box_count_embedded(z, b, lambda m: float(np.max(np.abs(embed(m)))), radius)
+    return sup_first_minimum(z, b, _sup_of(basis), radius)[1]
 
 
 def test_siegel_count_squares():
@@ -152,6 +157,52 @@ def test_siegel_count_matches_naive():
         assert _box_count(basis, radius) == oracles.box_count_naive(basis, radius)
         kept += 1
     assert kept > 25
+
+
+def test_sup_first_minimum_matches_dense_scans():
+    # one enumeration gives both numbers; the box radius sits below, at and
+    # above the first minimum, so the ball is sized by either of the two
+    rng = np.random.default_rng(75)
+    for n in range(2, 6):
+        kept = 0
+        while kept < 3:
+            basis = np.eye(n) + rng.uniform(-0.4, 0.4, size=(n, n))
+            if abs(np.linalg.det(basis)) < 0.5:
+                continue
+            kept += 1
+            lam1 = oracles.sup_minimum_naive(basis)
+            z, b = lll_with_transform(basis)[::-1]
+            for radius in (lam1 / 2, lam1, 2 * lam1):
+                got = sup_first_minimum(z, b, _sup_of(basis), radius)
+                assert got == (lam1, oracles.box_count_naive(basis, radius))
+            assert got[1] > 0
+
+
+@pytest.mark.parametrize("radius, named", [(math.nan, "nan"), (math.inf, "inf"),
+                                           (-1.0, "-1.0"), (1e200, "1e+200")])
+def test_enumerate_ball_refuses_a_radius_out_of_range(radius, named):
+    with pytest.raises(InputError, match=f"got {re.escape(named)}$"):
+        enumerate_ball(np.eye(2), radius)
+
+
+@pytest.mark.parametrize("column, named", [([math.nan, 1.0], "nan"),
+                                           ([math.inf, 0.0], "inf")])
+def test_a_non_finite_column_is_refused(column, named):
+    basis = np.array(column).reshape(2, 1)
+    with pytest.raises(InputError, match=f"column 0 = \\[{named}, .*not a finite double"):
+        lll_with_transform(basis)
+    with pytest.raises(InputError, match=f"column 1 = \\[{named}, .*not a finite double"):
+        lll_with_transform(np.column_stack([[1.0, 0.0], column]))
+
+
+def test_an_overflowing_squared_norm_is_not_called_dependent():
+    for call in (lll_with_transform, lambda b: enumerate_ball(b, 1.0)):
+        with pytest.raises(InputError, match=r"column 0 = \[1e\+200, 0.0\]: its squared "
+                                             r"norm is not a finite double"):
+            call(np.diag([1e200, 1e200]))
+    # one finite column and one whose square overflows: the second is named
+    with pytest.raises(InputError, match="column 1 = "):
+        lll_with_transform(np.diag([1.0, 1e155]))
 
 
 def test_enumerate_ball_sign_convention():
@@ -187,7 +238,7 @@ def test_embedded_reduction_round_trip():
         sup_of = lambda m, basis=basis: float(
             np.max(np.abs(basis @ np.asarray(m, dtype=float)))
         )
-        _, val = sup_first_minimum(z, b, sup_of)
+        val, _ = sup_first_minimum(z, b, sup_of, 1e-9)  # a box below every vector
         # dense-scan reference for the sup-norm minimum
         best = math.inf
         bound = 4
@@ -269,6 +320,19 @@ def test_lll_kernel_matches_full_recompute_oracle_bit_for_bit():
             red, transform = lll_with_transform(basis)
             assert transform == z_ref
             assert red.tobytes() == b_ref.tobytes()
+
+
+def test_gram_schmidt_matches_the_oracle_bit_for_bit():
+    # every inner product is correctly rounded, so a sequential or BLAS sum
+    # in the kernel (or the oracle) shows up in the last bits of mu
+    for ncols, embed, _ in _lll_cases():
+        b = np.stack([np.asarray(embed([int(i == j) for i in range(ncols)]), dtype=float)
+                      for j in range(ncols)], axis=1)
+        _, mu, norms2 = gram_schmidt(b.T.tolist())
+        mu_ref, norms2_ref = oracles.gram_schmidt_full(b)
+        assert norms2 == norms2_ref.tolist()
+        assert [row[:i] for i, row in enumerate(mu)] == [
+            mu_ref[i, :i].tolist() for i in range(ncols)]
 
 
 def test_lll_kernel_output_is_lll_reduced():
