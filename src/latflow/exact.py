@@ -5,6 +5,10 @@ inverse and linear solve in the package runs through.
 Scalars are kept exact so that span computations, certificates and residual
 identities can be verified with no floating error; conversion to float happens
 only at the boundary where numerics (flows, norms of float lattices) start.
+A scalar is (x + y sqrt(D)) / den over three Python ints in lowest terms,
+the one-denominator form of number-field elements used by ANTIC/FLINT, so
+arithmetic builds no Fraction: `Fraction` appears only in what the layer
+takes in and in the `a`, `b` and `as_fraction` views it gives out.
 """
 
 from __future__ import annotations
@@ -37,33 +41,53 @@ _SCALAR_RE = re.compile(
 
 
 class ExactScalar:
-    """Element a + b*sqrt(D) with a, b rational.
+    """Element (x + y*sqrt(D)) / den of Q or of a real quadratic field
+    Q(sqrt(D)), held as Python ints.
 
-    D is None for plain rationals. b == 0 collapses to the rational field, so
-    equality between `ExactScalar(3)` and a D-tagged zero-radical value holds.
+    The form is normal: den > 0, gcd(x, y, den) == 1, and D is None exactly
+    when y == 0, so each value has one form and equality compares fields.
+    A zero radical part collapses to the rational field, so `ExactScalar(3)`
+    equals a D-tagged zero-radical value. Every operation costs a few int
+    products and one gcd; `a` and `b` give the rational and radical parts as
+    Fractions for readers that want them.
     """
 
-    __slots__ = ("a", "b", "D")
+    __slots__ = ("x", "y", "den", "D")
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0, D: Optional[int] = None):
-        a = Fraction(a)
-        b = Fraction(b)
-        if b != 0:
+        if not isinstance(a, (int, Fraction)):
+            a = Fraction(a)
+        if not isinstance(b, (int, Fraction)):
+            b = Fraction(b)
+        if b:
             if D is None:
                 raise ExactError("radical coefficient given without a D")
             if D <= 1 or _is_square(D):
                 raise ExactError(f"D must be a nonsquare integer > 1, got {D}")
         else:
             D = None
-        self.a = a
-        self.b = b
-        self.D = D
+        # numerator and denominator are exact ints for ints and Fractions alike
+        x = a.numerator * b.denominator
+        y = b.numerator * a.denominator
+        den = a.denominator * b.denominator
+        g = math.gcd(x, y, den)
+        self.x, self.y, self.den, self.D = x // g, y // g, den // g, D
+
+    @property
+    def a(self) -> Fraction:
+        """The rational part."""
+        return Fraction(self.x, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient of sqrt(D)."""
+        return Fraction(self.y, self.den)
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def parse(text: str) -> "ExactScalar":
-        """Parse "3/7", "-2", "1+2r2", "r5", "1/2-3/4r2" style strings."""
+        """Parse "3/7", "-2", "1+2r2", "r5", "2r3", "1/2-3/4r2" style strings."""
         m = _SCALAR_RE.match(text)
         if not m or (m.group("a") is None and m.group("d") is None):
             raise ExactError(f"cannot parse exact scalar {text!r}")
@@ -77,8 +101,11 @@ class ExactScalar:
         if m.group("sign") == "-":
             b = -b
         elif m.group("sign") is None and m.group("a") is not None:
-            # "1 2r2" without an explicit sign between the parts is malformed
-            raise ExactError(f"missing sign before radical part in {text!r}")
+            if m.group("b") is not None:
+                # "1/23/4r2": two numbers with no sign between them
+                raise ExactError(f"missing sign before radical part in {text!r}")
+            # "2r3", "-1/2r5": the one number is the radical's coefficient
+            a, b = 0, a
         return ExactScalar(a, b, int(m.group("d")))
 
     @staticmethod
@@ -90,7 +117,7 @@ class ExactScalar:
         if isinstance(value, ExactScalar):
             return value
         if isinstance(value, (int, Fraction)):
-            return ExactScalar(value)
+            return _make(value.numerator, 0, value.denominator, None)
         if isinstance(value, str):
             return ExactScalar.parse(value)
         raise ExactError(f"cannot coerce {value!r} to an exact scalar")
@@ -98,63 +125,69 @@ class ExactScalar:
     # -- serialization --------------------------------------------------------
 
     def serialize(self) -> str:
-        if self.b == 0:
+        if self.y == 0:
             return str(self.a)
+        a, b = self.a, self.b
         rad = f"r{self.D}"
-        if abs(self.b) != 1:
-            rad = f"{abs(self.b)}{rad}"
-        sign = "-" if self.b < 0 else ("+" if self.a != 0 else "")
-        if self.a == 0:
-            return f"{sign}{rad}" if self.b < 0 else rad
-        return f"{self.a}{sign}{rad}"
+        if abs(b) != 1:
+            rad = f"{abs(b)}{rad}"
+        sign = "-" if b < 0 else ("+" if a != 0 else "")
+        if a == 0:
+            return f"{sign}{rad}" if b < 0 else rad
+        return f"{a}{sign}{rad}"
 
     def __repr__(self) -> str:
         return f"ExactScalar({self.serialize()!r})"
 
     # -- field arithmetic -----------------------------------------------------
 
-    def _join(self, other: "ExactScalar") -> Optional[int]:
-        if self.D is None:
-            return other.D
-        if other.D is None or other.D == self.D:
-            return self.D
-        raise ExactError(f"mixing radicals r{self.D} and r{other.D}")
-
     def __add__(self, other):
-        other = ExactScalar.coerce(other)
-        return ExactScalar(self.a + other.a, self.b + other.b, self._join(other))
+        if type(other) is not ExactScalar:
+            other = ExactScalar.coerce(other)
+        D = self.D if self.D == other.D else _join(self.D, other.D)
+        d, e = self.den, other.den
+        if d == e:
+            return _make(self.x + other.x, self.y + other.y, d, D)
+        return _make(self.x * e + other.x * d, self.y * e + other.y * d, d * e, D)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar(-self.a, -self.b, self.D)
+        return _make(-self.x, -self.y, self.den, self.D)
 
     def __sub__(self, other):
-        return self + (-ExactScalar.coerce(other))
+        if type(other) is not ExactScalar:
+            other = ExactScalar.coerce(other)
+        D = self.D if self.D == other.D else _join(self.D, other.D)
+        d, e = self.den, other.den
+        if d == e:
+            return _make(self.x - other.x, self.y - other.y, d, D)
+        return _make(self.x * e - other.x * d, self.y * e - other.y * d, d * e, D)
 
     def __rsub__(self, other):
-        return ExactScalar.coerce(other) + (-self)
+        return ExactScalar.coerce(other) - self
 
     def __mul__(self, other):
-        other = ExactScalar.coerce(other)
-        D = self._join(other)
-        a = self.a * other.a
-        if self.b != 0 and other.b != 0:
-            a += self.b * other.b * D
-        b = self.a * other.b + self.b * other.a
-        return ExactScalar(a, b, D)
+        if type(other) is not ExactScalar:
+            other = ExactScalar.coerce(other)
+        D = self.D if self.D == other.D else _join(self.D, other.D)
+        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
+        x = x1 * x2
+        if y1 and y2:
+            x += y1 * y2 * D
+        return _make(x, x1 * y2 + y1 * x2, self.den * other.den, D)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExactScalar":
-        if self.b == 0:
-            if self.a == 0:
+        x, y, d = self.x, self.y, self.den
+        if y == 0:
+            if x == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return ExactScalar(1 / self.a)
-        # (a + b rD)^-1 = (a - b rD) / (a^2 - b^2 D); the norm is nonzero
+            return _make(d, 0, x, None)
+        # d / (x + y rD) = d (x - y rD) / (x^2 - y^2 D); the norm is nonzero
         # because D is not a square.
-        norm = self.a * self.a - self.b * self.b * self.D
-        return ExactScalar(self.a / norm, -self.b / norm, self.D)
+        return _make(d * x, -d * y, x * x - y * y * self.D, self.D)
 
     def __truediv__(self, other):
         return self * ExactScalar.coerce(other).inverse()
@@ -185,34 +218,37 @@ class ExactScalar:
     # -- order and conversion -------------------------------------------------
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
+        # den > 0, so this is the sign of x + y rD
+        x, y = self.x, self.y
+        if y == 0:
+            return (x > 0) - (x < 0)
+        if x == 0:
+            return 1 if y > 0 else -1
+        if x > 0 and y > 0:
             return 1
-        if a < 0 and b < 0:
+        if x < 0 and y < 0:
             return -1
-        # opposite signs: compare a^2 with b^2 D
-        lhs, rhs = a * a, b * b * self.D
-        if lhs == rhs:  # impossible for nonsquare D unless both zero
-            return 0
-        dominant_rational = lhs > rhs
-        return (1 if a > 0 else -1) if dominant_rational else (1 if b > 0 else -1)
+        # opposite signs: compare x^2 with y^2 D, never equal for nonsquare D
+        dominant_rational = x * x > y * y * self.D
+        return (1 if x > 0 else -1) if dominant_rational else (1 if y > 0 else -1)
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self.x != 0 or self.y != 0
 
     def __eq__(self, other):
-        try:
-            other = ExactScalar.coerce(other)
-        except ExactError:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b and self.D == other.D
+        if type(other) is not ExactScalar:
+            try:
+                other = ExactScalar.coerce(other)
+            except ExactError:
+                return NotImplemented
+        return (self.x == other.x and self.y == other.y and self.den == other.den
+                and self.D == other.D)
 
     def __hash__(self):
-        return hash((self.a, self.b, self.D))
+        if self.y:
+            return hash((self.x, self.y, self.den, self.D))
+        # equal to an int or a Fraction, so hash as that Fraction does
+        return hash(self.x) if self.den == 1 else hash(Fraction(self.x, self.den))
 
     def __lt__(self, other):
         return (self - ExactScalar.coerce(other)).sign() < 0
@@ -230,18 +266,47 @@ class ExactScalar:
         return -self if self.sign() < 0 else self
 
     def __float__(self):
-        value = float(self.a)
-        if self.b != 0:
-            value += float(self.b) * math.sqrt(self.D)
+        # int / int rounds correctly, as float(Fraction) does
+        value = self.x / self.den
+        if self.y:
+            value += self.y / self.den * math.sqrt(self.D)
         return value
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.y == 0
 
     def as_fraction(self) -> Fraction:
-        if self.b != 0:
+        if self.y:
             raise ExactError(f"{self.serialize()} is irrational")
-        return self.a
+        return Fraction(self.x, self.den)
+
+
+_new = object.__new__
+
+
+def _make(x: int, y: int, den: int, D: Optional[int]) -> ExactScalar:
+    """(x + y sqrt(D)) / den in normal form, for den != 0, without the
+    checks of the public constructor."""
+    if den != 1:
+        g = math.gcd(x, y, den)
+        if den < 0:
+            g = -g
+        if g != 1:
+            x //= g
+            y //= g
+            den //= g
+    s = _new(ExactScalar)
+    s.x, s.y, s.den, s.D = x, y, den, D if y else None
+    return s
+
+
+def _join(D1: Optional[int], D2: Optional[int]) -> Optional[int]:
+    """The D of a result whose operands carry D1 != D2."""
+    if D1 is None:
+        return D2
+    if D2 is None:
+        return D1
+    raise ExactError(f"mixing radicals r{D1} and r{D2}")
 
 
 def _is_square(n: int) -> bool:

@@ -38,21 +38,20 @@ def _head_form(phi: Sequence[ExactScalar]) -> Tuple[List[int], int]:
     """Integers (c, q) with head(z) = (c . z) / q for z in Z^n.
 
     head(z) = z_0 + sum_j phi_j z_{j+1} is the coordinate that g_t expands.
-    Every phi_j = a_j + b_j sqrt(D_j) goes over the common denominator L of
-    all a_j and b_j, and sqrt(D_j) becomes isqrt(D_j << 2*_SQRT_BITS) over
+    Every phi_j = (x_j + y_j sqrt(D_j)) / den_j goes over the common
+    denominator L of all phi_j (the lcm of the denominators of their rational
+    and radical parts), and sqrt(D_j) becomes isqrt(D_j << 2*_SQRT_BITS) over
     2^_SQRT_BITS (accurate to 2^-80), so q = L * 2^_SQRT_BITS before the
     common factor is cancelled.  int / int is correctly rounded, so each
     float head is the nearest double to the rational (c . z) / q, as
     float(Fraction) of the same value would be.
     """
     scale = 1 << _SQRT_BITS
-    den = math.lcm(*(x.denominator for p in phi for x in (p.a, p.b)))
+    den = math.lcm(*(p.den for p in phi))
     coeffs = [den * scale]
     for p in phi:
-        a = p.a.numerator * (den // p.a.denominator)
-        b = p.b.numerator * (den // p.b.denominator)
-        root = math.isqrt(p.D << (2 * _SQRT_BITS)) if b else 0
-        coeffs.append(a * scale + b * root)
+        root = math.isqrt(p.D << (2 * _SQRT_BITS)) if p.y else 0
+        coeffs.append((p.x * scale + p.y * root) * (den // p.den))
     g = math.gcd(den * scale, *coeffs)
     return [c // g for c in coeffs], den * scale // g
 

@@ -14,6 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import FrozenSet, List, Sequence, Tuple
 
 from .errors import InputError, InvariantError
@@ -59,7 +60,7 @@ def _unscale(v: IVec, d: int) -> Vec:
 
 
 def _dot(u: IVec, v: IVec) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _norm(a: IVec) -> int:
@@ -232,23 +233,39 @@ def is_dominant(lam: Sequence, rs: RootSystem) -> bool:
 
 def saturate(seed, rs: RootSystem) -> FrozenSet[Vec]:
     """Least superset of the seed closed under root strings: for each weight
-    lam and root alpha, all lam - i*alpha for i between 0 and <lam, alpha>."""
+    lam and root alpha, all lam - i*alpha for i between 0 and <lam, alpha>.
+
+    The string of lam along alpha runs from lam to its mirror image: it is
+    (m + p alpha) / 2 for p = <lam, alpha>, <lam, alpha> - 2, ..., -<lam, alpha>,
+    where m = 2 lam - <lam, alpha> alpha is the same for every weight on it
+    and for -alpha. So one root of each +-pair is used, and a string keyed by
+    (root, m, parity of p) adds only the points beyond the largest |p| seen
+    with that key: each point of each line is made once."""
     d, (roots, queue) = _integral(rs.roots, list({_vec(s) for s in seed}))
-    axes = _axes(roots)
+    axes = _axes([a for a in roots if a > tuple(-x for x in a)])
     out = set(queue)
+    walked = {}  # (axis, m, parity) -> largest |<lam, alpha>| walked
     while queue:
         lam = queue.pop()
-        for a, aa in axes:
+        for i, (a, aa) in enumerate(axes):
             num, rem = _pairing(lam, a, aa)
             if rem:
                 raise InputError(f"{_unscale(lam, d)} is not in the weight lattice")
-            step = 1 if num >= 0 else -1
-            mu = lam
-            for _ in range(abs(num)):
-                mu = tuple(x - step * y for x, y in zip(mu, a))
-                if mu not in out:
-                    out.add(mu)
-                    queue.append(mu)
+            length = abs(num)
+            if length == 0:
+                continue
+            m = tuple(2 * x - num * y for x, y in zip(lam, a))
+            key = (i, m, length & 1)
+            inner = walked.get(key, -1)
+            if inner >= length:
+                continue
+            walked[key] = length
+            for p in range(-length, length + 1, 2):
+                if abs(p) > inner:
+                    mu = tuple((x + p * y) // 2 for x, y in zip(m, a))
+                    if mu not in out:
+                        out.add(mu)
+                        queue.append(mu)
     return frozenset(_unscale(mu, d) for mu in out)
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import List, Sequence, Tuple
 
-from .exact import ExactError, ExactMatrix, ExactScalar
+from .exact import ExactError, ExactMatrix, ExactScalar, eliminate
 
 
 class WedgeIndex:
@@ -41,8 +41,10 @@ class WedgeIndex:
         return self.subsets[i]
 
 
-def _minor(m: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> ExactScalar:
-    return ExactMatrix([[m.rows[i][j] for j in cols] for i in rows]).det()
+def _minor(entries: Sequence[Sequence[ExactScalar]], rows: Sequence[int],
+           cols: Sequence[int]) -> ExactScalar:
+    """Determinant of the submatrix of `entries` on `rows` and `cols`."""
+    return eliminate([[entries[i][j] for j in cols] for i in rows])[1]
 
 
 def wedge_matrix(m: ExactMatrix, k: int) -> ExactMatrix:
@@ -55,7 +57,7 @@ def wedge_matrix(m: ExactMatrix, k: int) -> ExactMatrix:
         raise ExactError("wedge_matrix expects a square matrix")
     idx = WedgeIndex(m.nrows, k)
     return ExactMatrix([
-        [_minor(m, I, J) for J in idx.subsets] for I in idx.subsets
+        [_minor(m.rows, I, J) for J in idx.subsets] for I in idx.subsets
     ])
 
 
@@ -68,9 +70,8 @@ def wedge_vector(vectors: Sequence[Sequence]) -> List[ExactScalar]:
     n = len(cols[0])
     if any(len(c) != n for c in cols):
         raise ExactError("vectors of mixed lengths")
-    m = ExactMatrix([[cols[j][i] for j in range(k)] for i in range(n)])
-    idx = WedgeIndex(n, k)
-    return [_minor(m, I, range(k)) for I in idx.subsets]
+    rows = [[cols[j][i] for j in range(k)] for i in range(n)]
+    return [_minor(rows, I, range(k)) for I in WedgeIndex(n, k).subsets]
 
 
 def pfaffian(m: ExactMatrix) -> ExactScalar:

@@ -1,5 +1,7 @@
 """Exact scalars (rationals extended by one square root) and matrices."""
 
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from latflow.exact import ExactError, ExactMatrix, ExactScalar, eliminate
+from latflow.wedge import wedge_matrix
 
 
 def sup_norm(vec):
@@ -283,3 +286,123 @@ def test_fraction_rows_stay_fractions(nrows, ncols, data):
     assert pivots == exact_pivots
     assert exact_red == ExactMatrix(work)
 
+
+
+# -- field properties ----------------------------------------------------------
+
+WIDE_RATIONALS = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
+
+
+def _field_elements(D):
+    """Elements of Q (D None) or Q(sqrt D), from small and wide rationals."""
+    parts = st.one_of(RATIONALS, WIDE_RATIONALS)
+    if D is None:
+        return parts.map(ExactScalar)
+    return st.builds(lambda a, b: ExactScalar(a, b, D), parts, parts)
+
+
+@st.composite
+def field_triples(draw):
+    D = draw(st.sampled_from([None, 2, 5]))
+    elements = _field_elements(D)
+    return draw(elements), draw(elements), draw(elements)
+
+
+@given(field_triples())
+def test_field_axioms(triple):
+    x, y, z = triple
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x - x == 0 and x + 0 == x and x * 1 == x and -(-x) == x
+    assert (x - y) + y == x
+    if x:
+        assert x * x.inverse() == 1
+        assert (y / x) * x == y
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+
+
+def _decimal(s):
+    """s at 60 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b = s.a, s.b
+        value = Decimal(a.numerator) / a.denominator
+        if b:
+            value += Decimal(b.numerator) / b.denominator * Decimal(s.D).sqrt()
+        return value
+
+
+@st.composite
+def near_cancelling(draw):
+    """a + b sqrt(D) with a within 1/q of -b sqrt(D): the two parts cancel
+    to about 1/q."""
+    D = draw(st.sampled_from([2, 3, 5, 7, 1000003]))
+    b = draw(st.integers(-10**6, 10**6).filter(bool))
+    q = draw(st.integers(1, 10**6))
+    root = math.isqrt(b * b * D * q * q) + draw(st.integers(-1, 1))
+    return ExactScalar(Fraction(-root if b > 0 else root, q), b, D)
+
+
+@given(st.one_of(_field_elements(None), _field_elements(2), _field_elements(5),
+                 near_cancelling()))
+def test_sign_matches_decimal_evaluation(s):
+    value = _decimal(s)
+    assert s.sign() == (value > 0) - (value < 0)
+    assert (s > 0) == (value > 0) and (s < 0) == (value < 0)
+    assert abs(s).sign() == (1 if s else 0)
+
+
+@given(st.one_of(_field_elements(None), _field_elements(2), _field_elements(5),
+                 near_cancelling()))
+def test_parse_serialize_roundtrip_on_drawn_scalars(s):
+    text = s.serialize()
+    back = ExactScalar.parse(text)
+    assert back == s and back.serialize() == text
+    assert (back.a, back.b, back.D) == (s.a, s.b, s.D)
+
+
+@given(_field_elements(2).filter(lambda s: not s.is_rational()),
+       _field_elements(5).filter(lambda s: not s.is_rational()))
+def test_mixing_r2_with_r5_raises(x, y):
+    for op in (lambda u, v: u + v, lambda u, v: u - v,
+               lambda u, v: u * v, lambda u, v: u / v):
+        with pytest.raises(ExactError):
+            op(x, y)
+        with pytest.raises(ExactError):
+            op(y, x)
+
+
+@given(st.one_of(st.integers(-10**30, 10**30), WIDE_RATIONALS))
+def test_rationals_hash_like_their_fraction(v):
+    s = ExactScalar(v)
+    assert s == v and hash(s) == hash(v) == hash(Fraction(v))
+    assert len({s, v}) == 1
+    # a radical tag on a zero radical part changes nothing
+    assert hash(ExactScalar(v, 0, 2)) == hash(v)
+
+
+def test_exact_layer_builds_no_fractions(monkeypatch):
+    """wedge_matrix of an integer matrix and an inverse over Q(sqrt 2) run on
+    integers alone: no Fraction is constructed on the way."""
+    rng = np.random.default_rng(41)
+    ints = rng.integers(-5, 6, size=(5, 5)).tolist()
+    m = ExactMatrix(ints)
+    r2 = ExactScalar.sqrt(2)
+    q = ExactMatrix([[1, r2, 3], [r2, 2, -r2], [Fraction(1, 3), 1, 1 + r2]])
+    eye = ExactMatrix([[int(i == j) for j in range(3)] for i in range(3)])
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        staticmethod(lambda cls, *a, **k: built.append(a) or new(cls, *a, **k)))
+    wedges = [wedge_matrix(m, k) for k in (2, 3)]
+    inv = q.inverse()
+    monkeypatch.undo()
+    assert built == []
+    assert inv @ q == eye
+    for w, k in zip(wedges, (2, 3)):
+        want = oracles.minors_matrix(ints, k)
+        assert all(w[i, j] == want[i][j] for i in range(w.nrows) for j in range(w.ncols))

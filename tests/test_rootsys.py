@@ -286,3 +286,22 @@ def test_kernel_matches_the_fraction_oracle(name, data):
         weights = sorted(pi)
         assert classification_check(rs, weights) == oracles.pairing_profile_roots(
             rs.roots, weights)
+
+
+def _two_rho(rs):
+    return tuple(sum(2 * w[k] for w in rs.fundamental) for k in range(rs.ambient))
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D3", "A4"])
+def test_saturation_of_two_rho_matches_the_oracle(name):
+    """Whole saturations at 2 rho, where long root strings overlap."""
+    rs = SYSTEMS[name]
+    lam = _two_rho(rs)
+    assert saturate([lam], rs) == oracles.root_string_closure([lam], rs.roots, 10**4)
+
+
+@pytest.mark.parametrize("name, size", [("B4", 30249), ("C4", 29657)])
+def test_saturation_of_two_rho_at_rank_4(name, size):
+    """Too large for the oracle: the size alone."""
+    rs = SYSTEMS[name]
+    assert len(saturate([_two_rho(rs)], rs)) == size
