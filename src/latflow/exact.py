@@ -237,6 +237,8 @@ class ExactScalar:
 
     def __eq__(self, other):
         if type(other) is not ExactScalar:
+            if isinstance(other, str):  # a string hashes as a string
+                return NotImplemented
             try:
                 other = ExactScalar.coerce(other)
             except ExactError:

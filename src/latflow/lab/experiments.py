@@ -9,6 +9,15 @@ minimum and the box count, with the expanding coordinate recomputed per
 candidate from scaled integers, so that the huge e^{(n-1)t} scale never
 meets float cancellation.
 
+Each sample is reduced along one fixed chain of integer times: Z_1 is
+reduced from the identity and Z_k from Z_{k-1}.  A time t > 1 is reduced
+from Z_{ceil(t)-1} (an integer t is Z_t itself) and t < 1 from the
+identity, so every reduction starts from a nearly reduced basis, and a row
+depends on (sample, t) alone, never on the other times in the grid.  The
+candidates of the enumeration are scored in the reduced basis, from the
+head numerators c . z_i and the integer tail rows of the basis z, which are
+computed once per basis.
+
 Sampling is reproducible across platforms: one Philox substream per sample
 index, seeded as (seed, index), so reports are bit-identical for a fixed
 config and seed regardless of evaluation order.
@@ -22,6 +31,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,6 +42,9 @@ from ..flows import Curve, curve_eval
 from . import reduction
 
 _SQRT_BITS = 80
+
+# (z, b) of reduction.reduce_embedded: integer coordinates and float columns
+Reduced = Tuple[List[List[int]], np.ndarray]
 
 
 def _head_form(phi: Sequence[ExactScalar]) -> Tuple[List[int], int]:
@@ -92,15 +105,15 @@ def _flow_scales(n: int, t: float) -> Tuple[float, float]:
     return scales
 
 
-def _flow_stats(
+def _flow_reduce(
     form: Tuple[Sequence[int], int],
     n: int,
     t: float,
-    box_radius: float,
-    budget: int,
-) -> Tuple[float, int]:
-    """(sup-norm first minimum, box count) of g_t u(phi) Z^n by reduction
-    and one enumeration, with the head coordinate evaluated from
+    start: Optional[List[List[int]]] = None,
+) -> Reduced:
+    """g_t u(phi) Z^n LLL-reduced from the unimodular transform start (the
+    identity if None), as (z, b) from reduction.reduce_embedded; each column
+    is embedded from its integer coordinates with the head evaluated from
     form = _head_form(phi)."""
     e_head, e_tail = _flow_scales(n, t)
 
@@ -109,12 +122,55 @@ def _flow_stats(
         v.extend(e_tail * float(zz) for zz in z[1:])
         return v
 
-    def sup_of(z: List[int]) -> float:
-        tail = max(abs(zz) for zz in z[1:]) if n > 1 else 0
-        return max(abs(e_head * _head_value(form, z)), e_tail * tail)
+    return reduction.reduce_embedded(embed, n, start)
 
-    z, b = reduction.reduce_embedded(embed, n)
-    return reduction.sup_first_minimum(z, b, sup_of, box_radius, budget)
+
+def _chained_reduction(
+    form: Tuple[Sequence[int], int],
+    n: int,
+    t: float,
+    chain: List[Reduced],
+) -> Reduced:
+    """_flow_reduce at t on the sample's chain of integer times (see the
+    module docstring); chain[k - 1] holds Z_k and is extended as far as t
+    needs."""
+    if t < 1:
+        return _flow_reduce(form, n, t)
+    k = math.ceil(t)
+    while len(chain) < (k if t == k else k - 1):
+        chain.append(_flow_reduce(form, n, float(len(chain) + 1),
+                                  chain[-1][0] if chain else None))
+    if t == k:
+        return chain[k - 1]
+    return _flow_reduce(form, n, t, chain[k - 2][0])
+
+
+def _flow_stats(
+    form: Tuple[Sequence[int], int],
+    n: int,
+    t: float,
+    box_radius: float,
+    budget: int,
+    reduced: Reduced,
+) -> Tuple[float, int]:
+    """(sup-norm first minimum, box count) of g_t u(phi) Z^n from one
+    enumeration of its reduced basis reduced = (z, b), from _flow_reduce.
+
+    The head of a candidate zc is H . zc over q with H_i = c . z_i: the
+    same correctly rounded int / q as the head of its coordinates
+    sum_i zc_i z_i, so every value is bit-identical to scoring those.
+    """
+    e_head, e_tail = _flow_scales(n, t)
+    z, b = reduced
+    coeffs, q = form
+    heads = [sum(map(mul, coeffs, col)) for col in z]
+    tails = list(zip(*z))[1:]
+
+    def sup_of(zc: List[int]) -> float:
+        tail = max(map(abs, [sum(map(mul, row, zc)) for row in tails]), default=0)
+        return max(abs(e_head * (sum(map(mul, heads, zc)) / q)), e_tail * tail)
+
+    return reduction.sup_first_minimum(b, sup_of, box_radius, budget)
 
 
 @dataclass(frozen=True)
@@ -260,9 +316,11 @@ def translate_experiment(
     rows: List[ExperimentRow] = []
     for idx, pt in enumerate(pts):
         form = _head_form(curve_eval(curve, [Fraction(x) for x in pt]))
+        chain: List[Reduced] = []
         for t in t_list:
             try:
-                lam1, count = _flow_stats(form, n, t, box_radius, node_budget)
+                lam1, count = _flow_stats(form, n, t, box_radius, node_budget,
+                                          _chained_reduction(form, n, t, chain))
             except BudgetError as exc:
                 raise BudgetError(f"sample {idx}, t = {t!r}: {exc}") from exc
             rows.append(

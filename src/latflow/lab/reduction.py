@@ -27,9 +27,15 @@ later row.  A sweep at k recomputes rows valid..k with the routine that
 gram_schmidt runs: the same float operations on the same inputs as a full
 pass, so the result is bit-identical to recomputing in every sweep.
 
+reduce_embedded can start from a given unimodular transform instead of
+the identity.  The flow experiments reduce g_t u(phi) Z^n from the basis
+reduced one unit of time earlier, which is nearly reduced already, so a
+reduction takes few sweeps at any t.
+
 The flow experiments need two numbers per lattice, the sup-norm first
 minimum and the box count; sup_first_minimum gets both from one
-enumeration.
+enumeration.  It scores each candidate from its coefficients in the
+reduced basis, so no candidate is mapped back to the original coordinates.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from __future__ import annotations
 import math
 from math import fsum
 from operator import mul
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,14 +114,19 @@ def gram_schmidt(cols: Sequence[Column]) -> Tuple[List[List[float]], List[List[f
 def _lll_core(
     ncols: int,
     embed: Callable[[List[int]], Column],
+    start: Optional[Sequence[Sequence[int]]] = None,
 ) -> Tuple[List[List[int]], np.ndarray]:
     """Run LLL on the lattice spanned by embed(e_0), ..., embed(e_{ncols-1}).
 
-    embed returns a sequence of floats (a list is fastest).  Returns (z, b):
-    z[i] is the integer coordinate vector of reduced column i in terms of
-    the original columns, b the float matrix of embedded reduced columns.
+    embed returns a sequence of floats (a list is fastest).  start, if
+    given, is a unimodular transform (ncols integer coordinate vectors) to
+    begin from instead of the identity.  Returns (z, b): z[i] is the integer
+    coordinate vector of reduced column i in terms of the original columns,
+    b the float matrix of embedded reduced columns.
     """
-    z: List[List[int]] = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
+    if start is None:
+        start = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
+    z = [list(col) for col in start]
     cols = [embed(c) for c in z]
     bstar, mu, norms2 = gram_schmidt(cols)  # bad columns fail before any step
     valid = ncols  # rows 0..valid-1 of (bstar, mu, norms2) describe cols
@@ -231,22 +242,19 @@ def enumerate_ball(
 def reduce_embedded(
     embed: Callable[[List[int]], Column],
     ncols: int,
+    start: Optional[Sequence[Sequence[int]]] = None,
 ) -> Tuple[List[List[int]], np.ndarray]:
-    """LLL on the lattice spanned by embed(e_i); see _lll_core.
+    """LLL on the lattice spanned by embed(e_i), from the identity or from
+    the unimodular transform start; see _lll_core.
 
     The callback is re-applied to the integer coordinates after every
     column operation, so a basis with a huge dynamic range stays accurate
     as long as the callback itself evaluates exactly.
     """
-    return _lll_core(ncols, embed)
-
-
-def _coords(z: List[List[int]], zc: List[int]) -> List[int]:
-    return [sum(zi * ci for zi, ci in zip(col, zc)) for col in zip(*z)]
+    return _lll_core(ncols, embed, start)
 
 
 def sup_first_minimum(
-    z: List[List[int]],
     b: np.ndarray,
     sup_of: Callable[[List[int]], float],
     box_radius: float,
@@ -255,22 +263,25 @@ def sup_first_minimum(
     """(first minimum of the sup norm, number of nonzero lattice vectors v
     with sup_norm(v) <= box_radius) for a reduced embedded lattice.
 
-    (z, b) comes from reduce_embedded; sup_of evaluates the sup norm of an
-    integer coordinate vector, exactly where it matters (the flow
-    experiments recompute the expanding coordinate without cancellation).
-    One enumeration serves both numbers: the Euclidean ball of radius
+    b comes from reduce_embedded.  sup_of evaluates the sup norm of the
+    lattice vector with coefficients zc in the reduced basis, the columns
+    of b, exactly where it matters (the flow experiments recompute the
+    expanding coordinate without cancellation), so each candidate of the
+    enumeration is scored from its coefficients directly.  One enumeration
+    serves both numbers: the Euclidean ball of radius
     sqrt(n) max(best column, box_radius) holds every vector of sup norm at
     most either.  The count is always even, since v and -v land in the box
     together.
     """
     if not box_radius > 0:
         raise InputError("box radius must be positive")
-    best = min(map(sup_of, z))
+    m = b.shape[1]
+    best = min(sup_of([int(i == j) for i in range(m)]) for j in range(m))
     ball = max(best, box_radius) * math.sqrt(b.shape[0]) * (1.0 + 1e-9)
     limit = box_radius + 1e-9
     half = 0
     for zc in enumerate_ball(b, ball, budget):
-        s = sup_of(_coords(z, zc))
+        s = sup_of(zc)
         if s < best:
             best = s
         if s <= limit:
@@ -279,11 +290,10 @@ def sup_first_minimum(
 
 
 def box_count_embedded(
-    z: List[List[int]],
     b: np.ndarray,
     sup_of: Callable[[List[int]], float],
     box_radius: float,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> int:
     """The box count of sup_first_minimum alone."""
-    return sup_first_minimum(z, b, sup_of, box_radius, budget)[1]
+    return sup_first_minimum(b, sup_of, box_radius, budget)[1]

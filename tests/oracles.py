@@ -148,8 +148,9 @@ def gram_schmidt_full(b):
     return mu, norms2
 
 
-def lll_full_recompute(embed, ncols):
-    """Textbook LLL on the columns embed(e_0), ..., embed(e_{ncols-1}).
+def lll_full_recompute(embed, ncols, start=None):
+    """Textbook LLL on the columns embed(e_0), ..., embed(e_{ncols-1}),
+    beginning from the columns embed(start[i]) if a start is given.
 
     The whole Gram-Schmidt state is recomputed at every sweep and column k
     is re-embedded after every single size-reduction step.  The float
@@ -158,7 +159,9 @@ def lll_full_recompute(embed, ncols):
     Returns (z, b) with z[i] the integer coordinates of reduced column i.
     The Lovasz constant is 0.99.
     """
-    z = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
+    if start is None:
+        start = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
+    z = [list(c) for c in start]
     b = np.stack([embed(c) for c in z], axis=1)
     k = 1
     while k < ncols:
@@ -476,25 +479,35 @@ def root_string_closure(seed, roots, limit):
     """The least set of weights holding `seed` that contains, with each weight
     mu and root alpha, the whole alpha-string mu, mu - alpha, ...,
     mu - <mu, alpha^v> alpha (the steps go up when the pairing is negative).
-    Breadth first, in Fraction vectors. Returns None as soon as the set
-    outgrows `limit` weights; raises ValueError on a non-integral pairing."""
-    seen = {tuple(Fraction(x) for x in mu) for mu in seed}
+    Breadth first, on integer vectors: every coordinate is scaled by the
+    common denominator of the seed and the roots, which the pairing ignores
+    and the steps keep.  Returns the weights as Fraction tuples, or None as
+    soon as the set outgrows `limit` weights; raises ValueError on a
+    non-integral pairing."""
+    seed = [tuple(Fraction(x) for x in mu) for mu in seed]
+    roots = [tuple(Fraction(x) for x in alpha) for alpha in roots]
+    den = math.lcm(*(x.denominator for v in seed + roots for x in v))
+    scaled = [(tuple(int(x * den) for x in alpha), alpha) for alpha in roots]
+    steps = [(a, sum(x * x for x in a), alpha) for a, alpha in scaled]
+    seen = {tuple(int(x * den) for x in mu) for mu in seed}
     frontier = deque(seen)
     while frontier:
         mu = frontier.popleft()
-        for alpha in roots:
-            n = coroot_pairing(mu, alpha)
-            if n.denominator != 1:
-                raise ValueError(f"pairing {n} of {mu} with {alpha}")
-            for i in range(1, abs(int(n)) + 1):
+        for a, norm2, alpha in steps:
+            num = 2 * sum(m * x for m, x in zip(mu, a))
+            if num % norm2:
+                raise ValueError(f"pairing {Fraction(num, norm2)} of "
+                                 f"{tuple(Fraction(m, den) for m in mu)} with {alpha}")
+            n = num // norm2
+            for i in range(1, abs(n) + 1):
                 k = i if n > 0 else -i
-                nu = tuple(m - k * a for m, a in zip(mu, alpha))
+                nu = tuple(m - k * x for m, x in zip(mu, a))
                 if nu not in seen:
                     seen.add(nu)
                     frontier.append(nu)
                     if len(seen) > limit:
                         return None
-    return seen
+    return {tuple(Fraction(m, den) for m in mu) for mu in seen}
 
 
 def pairing_profile_roots(roots, weights):

@@ -385,6 +385,15 @@ def test_rationals_hash_like_their_fraction(v):
     assert hash(ExactScalar(v, 0, 2)) == hash(v)
 
 
+@pytest.mark.parametrize("text", ["2", "1/3", "1+r2", "r5"])
+def test_a_string_is_not_equal_to_the_scalar_it_parses_to(text):
+    # equal objects must hash alike, and a string hashes as a string
+    s = ExactScalar.parse(text)
+    assert s != text and not s == text and text != s
+    assert len({s, text}) == 2
+    assert s == ExactScalar.parse(text) and hash(s) == hash(ExactScalar.parse(text))
+
+
 def test_exact_layer_builds_no_fractions(monkeypatch):
     """wedge_matrix of an integer matrix and an inverse over Q(sqrt 2) run on
     integers alone: no Fraction is constructed on the way."""

@@ -12,9 +12,11 @@ import pytest
 import oracles
 from latflow.errors import InputError
 from latflow.exact import ExactScalar
-from latflow.flows import Curve
-from latflow.lab import experiments
+from latflow.flows import Curve, curve_eval
+from latflow.lab import experiments, reduction
 from latflow.lab.experiments import (
+    _chained_reduction,
+    _flow_reduce,
     _flow_stats,
     _head_form,
     _head_value,
@@ -175,7 +177,7 @@ def test_negative_time_at_n3():
 
 def _stats_n3(t, v1, v2, radius):
     form = _head_form([ExactScalar(Fraction(v1)), ExactScalar(Fraction(v2))])
-    return _flow_stats(form, 3, t, radius, DEFAULT_NODE_BUDGET)
+    return _flow_stats(form, 3, t, radius, DEFAULT_NODE_BUDGET, _flow_reduce(form, 3, t))
 
 
 def test_flow_kernel_lambda1_matches_dense_scan():
@@ -272,3 +274,59 @@ def test_coordinates_in_different_quadratic_fields():
         assert row.lambda1 == pytest.approx(
             oracles.lambda1_sup_naive_n3(row.t, math.sqrt(2) * s, math.sqrt(3) * s), abs=1e-9
         )
+
+
+def _moment(n):
+    """The moment curve (s, s^2, ..., s^(n-1)) on s in [0.05, 0.95]."""
+    one = ExactScalar(1)
+    return Curve(n=n, k=1, coords=[[((j,), one)] for j in range(1, n)],
+                 center=(0.5,), radius=0.45)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_a_row_does_not_depend_on_the_other_times_asked_for(n):
+    """Each t is reduced on a fixed chain of integer times, so the row of a
+    (sample, t) is the same whichever grid it sits in."""
+    curve = _parabola() if n == 3 else _moment(n)
+    rows = {}
+    for grid in ([8.0], [2.0, 4.0, 6.0, 8.0], [6.5], [2.0, 6.5, 8.0]):
+        rep = translate_experiment(curve, grid, samples=3, eps=0.1, box_radius=1.0, seed=5)
+        for row in rep.rows:
+            assert rows.setdefault((row.sample_index, row.t), row) == row, (grid, row)
+    assert len(rows) == 3 * 5
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_warm_started_reduction_gives_the_cold_numbers(n):
+    """(lambda1, box count) does not depend on the basis the enumeration
+    starts from: reduced from the identity or from the chain's Z_{ceil(t)-1}."""
+    curve = _parabola() if n == 3 else _moment(n)
+    for pt in sample_ball(curve, 6, 8):
+        form = _head_form(curve_eval(curve, [Fraction(x) for x in pt]))
+        chain = []
+        for t in (1.5, 4.0, 8.0):
+            _chained_reduction(form, n, t, chain)  # fills Z_1 .. Z_{ceil(t)-1}
+            warm = _flow_reduce(form, n, t, chain[math.ceil(t) - 2][0])
+            cold = _flow_reduce(form, n, t)
+            assert (_flow_stats(form, n, t, 1.0, DEFAULT_NODE_BUDGET, warm)
+                    == _flow_stats(form, n, t, 1.0, DEFAULT_NODE_BUDGET, cold))
+
+
+@pytest.mark.parametrize("grid, per_sample", [("6", 6), ("2,4,6,8", 8), ("6.5", 7),
+                                              ("2,6.5,8", 9), ("0.5,1", 2), ("8,2", 8)])
+def test_reductions_follow_the_unit_step_schedule(monkeypatch, grid, per_sample):
+    """Z_1 .. Z_{ceil(t)-1} once per sample, one more reduction per t that
+    is not on the chain, and none for an integer t already reduced."""
+    calls = []
+    real = reduction.reduce_embedded
+
+    def counted(embed, ncols, start=None):
+        calls.append(start is None)
+        return real(embed, ncols, start)
+
+    monkeypatch.setattr(reduction, "reduce_embedded", counted)
+    t_grid = [float(t) for t in grid.split(",")]
+    translate_experiment(_moment(4), t_grid, samples=2, eps=0.1, box_radius=1.0, seed=1)
+    assert len(calls) == 2 * per_sample
+    # only Z_1 and the times below 1 start from the identity
+    assert calls.count(True) == 2 * (1 + sum(1 for t in t_grid if t < 1))

@@ -1,4 +1,4 @@
-"""Golden rows of `sim translate`: three frozen runs, recorded once.
+"""Golden rows of `sim translate`: four frozen runs, recorded once.
 
 Each case runs the CLI in process and compares its CSV and aggregates with
 the files in tests/data/.  The integer columns (sample index, box count,
@@ -32,24 +32,27 @@ def _curve(n, exps, center=(0.0,), radius=1.0):
             "center": list(center), "radius": radius}
 
 
-# name -> (curve, t grid, box radius); 6 samples at seed 1 each
+# name -> (curve, t grid, box radius, samples), at seed 1 each; moment4_t16
+# is a large t, where the chain of warm-started reductions keeps the
+# enumeration inside its node budget
 CASES = {
-    "parabola": (_curve(3, [1, 2]), "2,6", "1.5"),
-    "moment4": (_curve(4, [1, 2, 3], **MOMENT_BALL), "2,4,6,8", "1.0"),
-    "moment6": (_curve(6, [1, 2, 3, 4, 5], **MOMENT_BALL), "1,2,3", "0.5"),
+    "parabola": (_curve(3, [1, 2]), "2,6", "1.5", 6),
+    "moment4": (_curve(4, [1, 2, 3], **MOMENT_BALL), "2,4,6,8", "1.0", 6),
+    "moment6": (_curve(6, [1, 2, 3, 4, 5], **MOMENT_BALL), "1,2,3", "0.5", 6),
+    "moment4_t16": (_curve(4, [1, 2, 3], **MOMENT_BALL), "16", "1.5", 10),
 }
 
 
 def run_case(name, workdir):
     """(csv text, aggregates text) of one case, written under workdir."""
-    curve, t_grid, radius = CASES[name]
+    curve, t_grid, radius, samples = CASES[name]
     curve_path = os.path.join(workdir, f"{name}.json")
     with open(curve_path, "w") as fh:
         json.dump(curve, fh)
     out = os.path.join(workdir, f"{name}.csv")
     agg = os.path.join(workdir, f"{name}.agg.json")
     code = cli.main(["sim", "translate", "--curve", curve_path, "--t", t_grid,
-                     "--samples", "6", "--seed", "1", "--radius", radius,
+                     "--samples", str(samples), "--seed", "1", "--radius", radius,
                      "--out", out, "--aggregates", agg])
     assert code == 0
     with open(out) as fh_csv, open(agg) as fh_agg:
@@ -84,6 +87,14 @@ def test_translate_rows_match_the_recorded_run(name, tmp_path):
                 assert _close(got[key], want[key]), (key, got, want)
             else:  # built from t, the counts and the flags alone
                 assert got[key] == want[key], (key, got, want)
+
+
+def test_moment4_at_large_t_is_near_haar(tmp_path):
+    """Shah's theorem for the non-degenerate moment curve: at t = 16 the
+    mean box count is within criterion 4's 15% of Haar, (2 R)^4 = 81."""
+    (agg,) = json.loads(run_case("moment4_t16", str(tmp_path))[1])["aggregates"]
+    assert agg["haar_ref"] == 81.0
+    assert agg["rel_dev"] <= 0.15, agg
 
 
 if __name__ == "__main__":

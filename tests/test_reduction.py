@@ -112,8 +112,14 @@ def test_shortest_vector_guards():
             lll_with_transform(bad)
 
 
-def _sup_of(basis):
-    return lambda m: float(np.max(np.abs(basis @ np.asarray(m, dtype=float))))
+def _sup_of(basis, z):
+    """sup_first_minimum's sup_of for the lattice basis @ Z^n reduced to the
+    columns z: coefficients in the reduced basis go back to integer
+    coordinates in the columns of basis, which are embedded in floats."""
+    def sup_of(zc):
+        m = [sum(c * zi for c, zi in zip(zc, row)) for row in zip(*z)]
+        return float(np.max(np.abs(basis @ np.asarray(m, dtype=float))))
+    return sup_of
 
 
 def _box_count(basis, radius):
@@ -124,7 +130,7 @@ def _box_count(basis, radius):
         return basis @ np.asarray(m, dtype=float)
 
     z, b = reduce_embedded(embed, basis.shape[1])
-    return sup_first_minimum(z, b, _sup_of(basis), radius)[1]
+    return sup_first_minimum(b, _sup_of(basis, z), radius)[1]
 
 
 def test_siegel_count_squares():
@@ -173,7 +179,7 @@ def test_sup_first_minimum_matches_dense_scans():
             lam1 = oracles.sup_minimum_naive(basis)
             z, b = lll_with_transform(basis)[::-1]
             for radius in (lam1 / 2, lam1, 2 * lam1):
-                got = sup_first_minimum(z, b, _sup_of(basis), radius)
+                got = sup_first_minimum(b, _sup_of(basis, z), radius)
                 assert got == (lam1, oracles.box_count_naive(basis, radius))
             assert got[1] > 0
 
@@ -235,10 +241,7 @@ def test_embedded_reduction_round_trip():
         # column i of b is the embedding of the coordinate row z[i]
         for i in range(n):
             assert np.allclose(b[:, i], embed(z[i]))
-        sup_of = lambda m, basis=basis: float(
-            np.max(np.abs(basis @ np.asarray(m, dtype=float)))
-        )
-        val, _ = sup_first_minimum(z, b, sup_of, 1e-9)  # a box below every vector
+        val, _ = sup_first_minimum(b, _sup_of(basis, z), 1e-9)  # a box below every vector
         # dense-scan reference for the sup-norm minimum
         best = math.inf
         bound = 4
@@ -320,6 +323,23 @@ def test_lll_kernel_matches_full_recompute_oracle_bit_for_bit():
             red, transform = lll_with_transform(basis)
             assert transform == z_ref
             assert red.tobytes() == b_ref.tobytes()
+
+
+def test_warm_started_lll_matches_full_recompute_oracle_bit_for_bit():
+    """From the basis reduced one unit of time earlier, as the flow
+    experiments chain their reductions, kernel and oracle agree too."""
+    rng = np.random.default_rng(76)
+    for n in (3, 4, 6):
+        for t in (1.5, 2.0, 4.0, 8.0, 12.0):
+            for _ in range(4):
+                s = Fraction(int(rng.integers(-997, 998)), 997)
+                start, _ = reduce_embedded(_flow_embed(n, t - 1.0, s), n)
+                embed = _flow_embed(n, t, s)
+                z_ref, b_ref = oracles.lll_full_recompute(embed, n, start)
+                z, b = reduce_embedded(embed, n, start)
+                assert z == z_ref
+                assert b.tobytes() == b_ref.tobytes()
+                _assert_lll_reduced(b)
 
 
 def test_gram_schmidt_matches_the_oracle_bit_for_bit():
