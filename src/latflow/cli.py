@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 bad usage or input, 3 search budget exhausted,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -277,6 +278,11 @@ def _show_curve(lc: _LoadedCurve):
 
 
 _OUT = Opt("out", _co_str, "write the result to this path instead of stdout")
+_TARGET = Opt("a", _target_matrix, "target matrix: rows ';'-separated, entries "
+              "','-separated; decimal entries are searched as floats, p/q and rN "
+              "forms exactly", required=True, show=_show_matrix)
+_BUDGET = Opt("budget", _co_int, "enumeration budget",
+              default=dioph.DEFAULT_ENUM_BUDGET)
 
 
 def _add_opt(parser: argparse.ArgumentParser, opt: Opt) -> None:
@@ -349,12 +355,10 @@ def _mat_json(m: ExactMatrix):
 # -- dioph --------------------------------------------------------------------
 
 DIOPH_APPROX_OPTS = [
-    Opt("a", _target_matrix, "target matrix: rows ';'-separated, entries "
-        "','-separated; decimal entries are searched as floats, p/q and rN "
-        "forms exactly", required=True, show=_show_matrix),
+    _TARGET,
     Opt("qmax", _co_int, "largest sup norm of q searched", required=True),
     Opt("r", _co_float, "exponent for the quality column (default: cols/rows)"),
-    Opt("budget", _co_int, "enumeration budget", default=dioph.DEFAULT_ENUM_BUDGET),
+    _BUDGET,
     _OUT,
 ]
 
@@ -378,11 +382,9 @@ def _run_dioph_approx(v) -> int:
 
 
 DIOPH_EXPONENT_OPTS = [
-    Opt("a", _target_matrix, "target matrix: rows ';'-separated, entries "
-        "','-separated; decimal entries are searched as floats, p/q and rN "
-        "forms exactly", required=True, show=_show_matrix),
+    _TARGET,
     Opt("qmax", _co_int, "largest sup norm of q searched (>= 10)", required=True),
-    Opt("budget", _co_int, "enumeration budget", default=dioph.DEFAULT_ENUM_BUDGET),
+    _BUDGET,
     _OUT,
 ]
 
@@ -417,15 +419,13 @@ def _run_dioph_ext(v) -> int:
 
 
 DIOPH_PROBE_OPTS = [
-    Opt("a", _target_matrix, "target matrix: rows ';'-separated; decimal "
-        "entries are searched as floats, p/q and rN forms exactly",
-        required=True, show=_show_matrix),
+    _TARGET,
     Opt("r", _co_float, "approximation exponent of the set probed", required=True),
     Opt("qmax", _co_int, "largest sup norm of q searched", required=True),
     Opt("target", _co_target, "W (fixed constant) or Wprime (arbitrarily small)",
         default="W"),
     Opt("c", _co_float, "constant for the W inequality", default=1.0),
-    Opt("budget", _co_int, "enumeration budget", default=dioph.DEFAULT_ENUM_BUDGET),
+    _BUDGET,
     _OUT,
 ]
 
@@ -448,7 +448,7 @@ DIRICHLET_OPTS = [
         required=True),
     Opt("t", _co_float_list, "strictly increasing grid of thresholds T (> 1)",
         required=True),
-    Opt("budget", _co_int, "enumeration budget", default=dioph.DEFAULT_ENUM_BUDGET),
+    _BUDGET,
     _OUT,
 ]
 
@@ -647,7 +647,10 @@ def _leaf(sub, name: str, help_text: str, opts: Sequence[Opt], runner) -> None:
     p.set_defaults(opts=opts, runner=runner, command=command)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once: parse_args keeps no state
+    from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="latflow",
         description="Lattice laboratory for diagonal flows, diophantine "

@@ -100,10 +100,15 @@ def best_approximations(
         cert_shell = max(abs(c) for c in cert[0])
         if cert_shell <= qmax:
             walk_to = cert_shell - 1
-    if ell == 1:
-        records = _best_approx_1d(af, exact, walk_to, budget)
-    else:
-        records = _shell_walk(af, exact, walk_to, budget)
+    # the one-column walk ranks q = 1..qmax, the shell walk one q of each
+    # +-q pair in the cube, counted here as the whole cube
+    points = walk_to if ell == 1 else (2 * walk_to + 1) ** ell
+    if points > budget:
+        raise BudgetError(
+            f"search needs {points} points for qmax={walk_to}, budget={budget}"
+        )
+    walk = _best_approx_1d if ell == 1 else _shell_walk
+    records = walk(af, exact, walk_to)
     if cert is not None and cert_shell <= qmax and not any(
         r.residual == 0.0 for r in records
     ):
@@ -113,13 +118,8 @@ def best_approximations(
     return records
 
 
-def _shell_walk(af, exact, qmax, budget) -> List[ApproxRecord]:
+def _shell_walk(af, exact, qmax) -> List[ApproxRecord]:
     ell = af.shape[1]
-    total = (2 * qmax + 1) ** ell
-    if total > budget:
-        raise BudgetError(
-            f"shell enumeration needs {total} points for qmax={qmax}, budget={budget}"
-        )
     scaled = _scaled_target(exact, qmax, ell)
     records: List[ApproxRecord] = []
     best = math.inf
@@ -178,12 +178,17 @@ def _scaled_target(exact, qmax: int, ell: int):
 def _residual_keys(qs: np.ndarray, af: np.ndarray, scaled) -> np.ndarray:
     """Rank key of max_i |A q + p|_i (p nearest) for each row q of qs: the
     float residual, or for a rational target its exact numerator over L."""
-    if scaled is None:
-        vals = qs @ af.T
-        return np.max(np.abs(vals - np.round(vals)), axis=1)
-    nums, den = scaled
-    rem = (qs @ nums.T) % den
-    return np.max(np.minimum(rem, den - rem), axis=1)
+    mat, den = scaled if scaled is not None else (af, None)
+    # products laid out (m, k), so the max over the m rows runs across whole
+    # rows rather than along a short axis; one column is an outer product
+    if qs.shape[1] == 1:
+        prods = mat * qs[:, 0]
+    else:
+        prods = (qs @ mat.T).T
+    if den is None:
+        return np.max(np.abs(prods - np.round(prods)), axis=0)
+    rem = prods % den
+    return np.max(np.minimum(rem, den - rem), axis=0)
 
 
 def _nearest_p(q: Tuple[int, ...], af: np.ndarray, scaled) -> Tuple[int, ...]:
@@ -196,9 +201,7 @@ def _nearest_p(q: Tuple[int, ...], af: np.ndarray, scaled) -> Tuple[int, ...]:
     )
 
 
-def _best_approx_1d(af, exact, qmax, budget) -> List[ApproxRecord]:
-    if qmax > budget:
-        raise BudgetError(f"qmax={qmax} exceeds enumeration budget {budget}")
+def _best_approx_1d(af, exact, qmax) -> List[ApproxRecord]:
     scaled = _scaled_target(exact, qmax, 1)
     records: List[ApproxRecord] = []
     best = math.inf
@@ -533,67 +536,51 @@ class DirichletReport:
 
 
 def dirichlet_solve(query: DirichletQuery) -> DirichletReport:
-    """Exhaustively test solvability at each T. The tail (upper half of the
-    grid by index) stands in for 'all sufficiently large T'."""
-    x = np.asarray(query.x, dtype=float)
-    n = x.size
+    """Test solvability at each T from one best-approximation walk to the
+    largest T: 'vect' walks the column x, 'lf' the row x. The smallest
+    solution at T is the first record within T's norm bound whose residual
+    meets T's threshold, so a row depends on no other T. The tail (upper half
+    of the grid by index) stands in for 'all sufficiently large T'."""
+    n, vect = len(query.x), query.form == "vect"
+    a = [[float(v)] for v in query.x] if vect else [[float(v) for v in query.x]]
+
+    def bound(t):
+        return int(math.floor(t**n if vect else t))
+
+    def thr(t):
+        return query.delta / t if vect else query.delta * t**-n
+
+    t_max = query.t_grid[-1]
+    try:
+        records = best_approximations(a, bound(t_max), budget=query.budget)
+    except BudgetError as exc:
+        raise BudgetError(f"dirichlet {query.form} at T = {t_max:g}: {exc}") from None
     rows: List[DirichletRow] = []
     for t in query.t_grid:
-        if query.form == "vect":
-            rows.append(_dirichlet_vect(x, n, query.delta, t, query.budget))
-        else:
-            rows.append(_dirichlet_lf(x, n, query.delta, t, query.budget))
+        limit = thr(t) + 1e-15
+        rec = next((r for r in records if r.qnorm <= bound(t) and r.residual <= limit), None)
+        if rec is None:
+            rows.append(DirichletRow(t=t, solvable=False, q=None, p=None, residual=None))
+            continue
+        q, p, res = (rec.q, rec.p, rec.residual) if vect else _lf_witness(a, rec, limit)
+        rows.append(DirichletRow(t=t, solvable=True, q=q, p=p, residual=res))
     half = len(rows) // 2
     tail = rows[half:]
     return DirichletReport(query=query, rows=rows, tail_solvable=all(r.solvable for r in tail))
 
 
-def _dirichlet_vect(x, n, delta, t, budget) -> DirichletRow:
-    qmax = int(math.floor(t**n))
-    if qmax > budget:
-        raise BudgetError(f"vect search needs {qmax} values of q, budget {budget}")
-    thr = delta / t
-    qs = np.arange(1, qmax + 1, dtype=float)
-    vals = x[:, None] * qs[None, :]
-    ps = -np.round(vals)
-    res = np.max(np.abs(vals + ps), axis=0)
-    hits = np.nonzero(res <= thr + 1e-15)[0]
+def _lf_witness(a, rec: ApproxRecord, limit: float):
+    """(q, p, residual) of the hit (residual <= limit) in rec's shell that
+    comes first in lex order over +-q; rec's own when float rounding leaves
+    the shell without a hit."""
+    af = np.asarray(a)
+    qs = _shell_points(rec.qnorm, af.shape[1])
+    keys = _residual_keys(qs, af, None)
+    hits = np.flatnonzero(keys <= limit)
     if hits.size == 0:
-        return DirichletRow(t=t, solvable=False, q=None, p=None, residual=None)
-    i = int(hits[0])
-    return DirichletRow(
-        t=t,
-        solvable=True,
-        q=(int(qs[i]),),
-        p=tuple(int(v) for v in ps[:, i]),
-        residual=float(res[i]),
-    )
-
-
-def _dirichlet_lf(x, n, delta, t, budget) -> DirichletRow:
-    qbound = int(math.floor(t))
-    total = (2 * qbound + 1) ** n
-    if total > budget:
-        raise BudgetError(f"lf search needs {total} grid points, budget {budget}")
-    thr = delta * t**-n
-    axes = [np.arange(-qbound, qbound + 1)] * n
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    nz = np.any(grid != 0, axis=1)
-    grid = grid[nz]
-    vals = grid.astype(float) @ x
-    ps = -np.round(vals)
-    res = np.abs(vals + ps)
-    hits = np.nonzero(res <= thr + 1e-15)[0]
-    if hits.size == 0:
-        return DirichletRow(t=t, solvable=False, q=None, p=None, residual=None)
-    # deterministic witness: smallest sup norm, then lex
-    cand = sorted(
-        (int(np.max(np.abs(grid[i]))), tuple(int(v) for v in grid[i]), i) for i in hits
-    )
-    _, qtup, i = cand[0]
-    return DirichletRow(
-        t=t, solvable=True, q=qtup, p=(int(ps[i]),), residual=float(res[i])
-    )
+        return rec.q, rec.p, rec.residual
+    q, i = min((min(tuple(qs[i].tolist()), tuple((-qs[i]).tolist())), i) for i in hits)
+    return q, _nearest_p(q, af, None), float(keys[i])
 
 
 def probe_singular(x, form: str, deltas: Sequence[float], t_grid: Sequence[float],

@@ -252,17 +252,18 @@ class ExactScalar:
         # equal to an int or a Fraction, so hash as that Fraction does
         return hash(self.x) if self.den == 1 else hash(Fraction(self.x, self.den))
 
+    # a string is not ordered against a scalar, as it is not equal to one
     def __lt__(self, other):
-        return (self - ExactScalar.coerce(other)).sign() < 0
+        return NotImplemented if isinstance(other, str) else (self - other).sign() < 0
 
     def __le__(self, other):
-        return (self - ExactScalar.coerce(other)).sign() <= 0
+        return NotImplemented if isinstance(other, str) else (self - other).sign() <= 0
 
     def __gt__(self, other):
-        return (self - ExactScalar.coerce(other)).sign() > 0
+        return NotImplemented if isinstance(other, str) else (self - other).sign() > 0
 
     def __ge__(self, other):
-        return (self - ExactScalar.coerce(other)).sign() >= 0
+        return NotImplemented if isinstance(other, str) else (self - other).sign() >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self

@@ -404,19 +404,20 @@ def dirichlet_vect_naive(x, delta, big_t):
     return None
 
 
-def dirichlet_lf_naive(x, delta, big_t):
-    """Integer q != 0 with ||q|| <= T and |x . q + p| <= delta T^-n."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
+def dirichlet_lf_witness_naive(x, delta, big_t):
+    """The witness q of the linear-form system: of every integer q != 0 with
+    ||q|| <= T and |x . q + p| <= delta T^-n for some integer p, the first in
+    (sup norm, q) order; None when the cube holds no such q."""
+    x = [float(v) for v in x]
+    n = len(x)
     qb = int(math.floor(big_t * (1 + 1e-12)))
     thr = delta * big_t ** (-n) + 1e-12
+    hits = []
     for q in product(range(-qb, qb + 1), repeat=n):
-        if not any(q):
-            continue
-        val = float(np.dot(x, q))
-        if abs(val - round(val)) <= thr:
-            return q
-    return None
+        val = math.fsum(a * b for a, b in zip(x, q))
+        if any(q) and abs(val - round(val)) <= thr:
+            hits.append(q)
+    return min(hits, key=lambda q: (max(abs(c) for c in q), q), default=None)
 
 
 def best_approximations_naive(a, qmax):

@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latflow import cli, rootsys
+from latflow import cli, dioph, rootsys
 
 CMD = [sys.executable, "-m", "latflow"]
 
@@ -109,6 +109,25 @@ def test_dry_run_prints_plan_without_computing(tmp_path):
     assert plan["plan"]["samples"] == 5
     assert plan["plan"]["seed"] == 7
     assert not out.exists()
+
+
+def test_in_process_dry_runs_carry_nothing_over(capsys):
+    """main parses with one parser per process; a plan holds only what its
+    own call gave, whatever ran before it."""
+    def plan(*argv):
+        assert cli.main([*argv, "--dry-run"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    first = plan("dioph", "approx", "--a", "1/3", "--qmax", "9", "--budget", "7",
+                 "--out", "x.csv")
+    assert first["plan"]["budget"] == 7 and first["plan"]["out"] == "x.csv"
+    second = plan("dirichlet", "--x", "0.5", "--delta", "1", "--t", "2")
+    assert second == {"command": "dirichlet", "plan": {
+        "x": [0.5], "form": "vect", "delta": [1.0], "t": [2.0],
+        "budget": dioph.DEFAULT_ENUM_BUDGET, "out": None}}
+    third = plan("dioph", "approx", "--a", "1/3", "--qmax", "9")
+    assert third["plan"]["budget"] == dioph.DEFAULT_ENUM_BUDGET
+    assert third["plan"]["out"] is None
 
 
 def test_config_provides_and_flags_override(tmp_path):

@@ -346,15 +346,47 @@ def test_dirichlet_at_zero():
 
 
 def test_dirichlet_matches_naive():
+    """Solvability and the witness q: for vect the smallest q, for lf the
+    smallest sup norm, then lex order over +-q."""
     rng = np.random.default_rng(54)
-    for form, naive in (("vect", oracles.dirichlet_vect_naive), ("lf", oracles.dirichlet_lf_naive)):
+    for form in ("vect", "lf"):
         for _ in range(20):
             n = int(rng.integers(1, 3))
             x = tuple(float(v) for v in rng.uniform(-1, 1, size=n))
             delta = float(rng.choice([1.0, 0.7, 0.4]))
             big_t = float(rng.choice([1.5, 2.0, 3.0]))
-            rep = dirichlet_solve(DirichletQuery(x, form, delta, (big_t,)))
-            assert rep.rows[0].solvable == (naive(x, delta, big_t) is not None)
+            row = dirichlet_solve(DirichletQuery(x, form, delta, (big_t,))).rows[0]
+            if form == "vect":
+                q = oracles.dirichlet_vect_naive(x, delta, big_t)
+                want = None if q is None else (q,)
+            else:
+                want = oracles.dirichlet_lf_witness_naive(x, delta, big_t)
+            assert row.solvable == (want is not None)
+            assert row.q == want, (form, x, delta, big_t)
+
+
+@pytest.mark.parametrize("form", ["vect", "lf"])
+def test_dirichlet_row_does_not_depend_on_the_other_t(form):
+    rng = np.random.default_rng(57)
+    grid = (1.5, 2.0, 3.0, 5.0, 8.0, 13.0)
+    for _ in range(12):
+        n = int(rng.integers(1, 4))
+        x = tuple(float(v) for v in rng.uniform(-1, 1, size=n))
+        delta = float(rng.choice([1.0, 0.5, 0.1]))
+        rows = dirichlet_solve(DirichletQuery(x, form, delta, grid)).rows
+        for t, row in zip(grid, rows):
+            alone = dirichlet_solve(DirichletQuery(x, form, delta, (t,))).rows[0]
+            assert row == alone, (x, delta, t)
+
+
+@pytest.mark.parametrize("form", ["vect", "lf"])
+def test_dirichlet_walks_once_per_query(form, monkeypatch):
+    calls = []
+    walk = dioph.best_approximations
+    monkeypatch.setattr(dioph, "best_approximations",
+                        lambda *a, **k: calls.append(a) or walk(*a, **k))
+    dirichlet_solve(DirichletQuery((0.3, 0.7), form, 0.5, (2.0, 3.0, 5.0, 8.0)))
+    assert len(calls) == 1
 
 
 def test_dirichlet_solution_is_valid():

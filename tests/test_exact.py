@@ -1,6 +1,7 @@
 """Exact scalars (rationals extended by one square root) and matrices."""
 
 import math
+import operator
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -392,6 +393,12 @@ def test_a_string_is_not_equal_to_the_scalar_it_parses_to(text):
     assert s != text and not s == text and text != s
     assert len({s, text}) == 2
     assert s == ExactScalar.parse(text) and hash(s) == hash(ExactScalar.parse(text))
+    # nor is a string ordered against it, from either side
+    for order in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            order(s, text)
+        with pytest.raises(TypeError):
+            order(text, s)
 
 
 def test_exact_layer_builds_no_fractions(monkeypatch):

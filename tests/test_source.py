@@ -49,3 +49,30 @@ def test_cli_import_leaves_sympy_off_the_path():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=120, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_traced_names_resolve_after_the_cli_import():
+    """Every function, method and scalar operation that perfbench/tracing.py
+    wraps is found where its install() looks: in sys.modules once latflow.cli
+    is imported, methods in their own class. The tracer is read, not
+    installed."""
+    tracing = SRC.parent.parent / "perfbench" / "tracing.py"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = """
+import importlib.util, sys
+import latflow.cli
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+mods = sys.modules
+methods = tracing.METHODS + [("latflow.exact", "ExactScalar", op, None)
+                             for op in tracing.SCALAR_OPS]
+missing = [mod + "." + attr for mod, attrs in tracing.FUNCTIONS.items() for attr in attrs
+           if not callable(getattr(mods.get(mod), attr, None))]
+missing += [mod + "." + cls + "." + attr for mod, cls, attr, _ in methods
+            if attr not in vars(getattr(mods.get(mod), cls, object))]
+print(missing)
+"""
+    out = subprocess.run([sys.executable, "-c", code, str(tracing)], capture_output=True,
+                         text=True, env=env, timeout=120, check=True).stdout
+    assert out.strip() == "[]"
