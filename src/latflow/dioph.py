@@ -541,32 +541,39 @@ def dirichlet_solve(query: DirichletQuery) -> DirichletReport:
     solution at T is the first record within T's norm bound whose residual
     meets T's threshold, so a row depends on no other T. The tail (upper half
     of the grid by index) stands in for 'all sufficiently large T'."""
-    n, vect = len(query.x), query.form == "vect"
-    a = [[float(v)] for v in query.x] if vect else [[float(v) for v in query.x]]
+    return _dirichlet_reports([query])[0]
+
+
+def _dirichlet_reports(queries: Sequence[DirichletQuery]) -> List[DirichletReport]:
+    """dirichlet_solve of queries that differ in delta alone, all read from
+    the walk of the first: the walk does not read delta."""
+    first = queries[0]
+    n, vect = len(first.x), first.form == "vect"
+    a = [[float(v)] for v in first.x] if vect else [[float(v) for v in first.x]]
 
     def bound(t):
         return int(math.floor(t**n if vect else t))
 
-    def thr(t):
-        return query.delta / t if vect else query.delta * t**-n
-
-    t_max = query.t_grid[-1]
+    t_max = first.t_grid[-1]
     try:
-        records = best_approximations(a, bound(t_max), budget=query.budget)
+        records = best_approximations(a, bound(t_max), budget=first.budget)
     except BudgetError as exc:
-        raise BudgetError(f"dirichlet {query.form} at T = {t_max:g}: {exc}") from None
-    rows: List[DirichletRow] = []
-    for t in query.t_grid:
-        limit = thr(t) + 1e-15
-        rec = next((r for r in records if r.qnorm <= bound(t) and r.residual <= limit), None)
-        if rec is None:
-            rows.append(DirichletRow(t=t, solvable=False, q=None, p=None, residual=None))
-            continue
-        q, p, res = (rec.q, rec.p, rec.residual) if vect else _lf_witness(a, rec, limit)
-        rows.append(DirichletRow(t=t, solvable=True, q=q, p=p, residual=res))
-    half = len(rows) // 2
-    tail = rows[half:]
-    return DirichletReport(query=query, rows=rows, tail_solvable=all(r.solvable for r in tail))
+        raise BudgetError(f"dirichlet {first.form} at T = {t_max:g}: {exc}") from None
+    reports = []
+    for query in queries:
+        rows: List[DirichletRow] = []
+        for t in query.t_grid:
+            limit = (query.delta / t if vect else query.delta * t**-n) + 1e-15
+            rec = next((r for r in records if r.qnorm <= bound(t) and r.residual <= limit), None)
+            if rec is None:
+                rows.append(DirichletRow(t=t, solvable=False, q=None, p=None, residual=None))
+                continue
+            q, p, res = (rec.q, rec.p, rec.residual) if vect else _lf_witness(a, rec, limit)
+            rows.append(DirichletRow(t=t, solvable=True, q=q, p=p, residual=res))
+        tail = rows[len(rows) // 2:]
+        reports.append(DirichletReport(query=query, rows=rows,
+                                       tail_solvable=all(r.solvable for r in tail)))
+    return reports
 
 
 def _lf_witness(a, rec: ApproxRecord, limit: float):
@@ -585,13 +592,12 @@ def _lf_witness(a, rec: ApproxRecord, limit: float):
 
 def probe_singular(x, form: str, deltas: Sequence[float], t_grid: Sequence[float],
                    budget: int = DEFAULT_ENUM_BUDGET):
-    """Run one query per delta; singular evidence = improvable at every delta."""
-    reports = [
-        dirichlet_solve(DirichletQuery(
-            x=tuple(float(v) for v in x), form=form, delta=float(d),
-            t_grid=tuple(float(t) for t in t_grid), budget=budget,
-        ))
+    """One query per delta, all from one walk; singular evidence =
+    improvable at every delta."""
+    reports = _dirichlet_reports([
+        DirichletQuery(x=tuple(float(v) for v in x), form=form, delta=float(d),
+                       t_grid=tuple(float(t) for t in t_grid), budget=budget)
         for d in deltas
-    ]
+    ]) if deltas else []
     singular = all(rep.tail_solvable for rep in reports)
     return reports, singular

@@ -33,9 +33,10 @@ reduced one unit of time earlier, which is nearly reduced already, so a
 reduction takes few sweeps at any t.
 
 The flow experiments need two numbers per lattice, the sup-norm first
-minimum and the box count; sup_first_minimum gets both from one
-enumeration.  It scores each candidate from its coefficients in the
-reduced basis, so no candidate is mapped back to the original coordinates.
+minimum and the box count; sup_first_minimum gets both from one walk of
+enumerate_ball's tree, pruned by the sup box too (_walk).  It scores each
+candidate from its coefficients in the reduced basis, so no candidate is
+mapped back to the original coordinates.
 """
 
 from __future__ import annotations
@@ -183,6 +184,71 @@ def lll_with_transform(basis: np.ndarray) -> Tuple[np.ndarray, List[List[int]]]:
     return b, z
 
 
+def _walk(basis: np.ndarray, radius: float, budget: int,
+          leaf: Callable[[List[int]], Optional[float]], box: Optional[float] = None) -> None:
+    """Call leaf(z) for every integer z != 0 with ||basis @ z|| <= radius,
+    one per +/- pair (the highest-index nonzero entry of z is positive); z is
+    the walk's own list.  leaf returns the box radius r for the rest of the
+    walk (None without a box; r may only shrink).  Two box bounds keep every
+    z whose vector v has sup norm <= r.  The cap: on every level l,
+    |y_l| = |<v, b*_l>| / |b*_l|^2 <= r |b*_l|_1 / |b*_l|^2 (Hoelder).  The
+    clip: level 0 keeps the z_0 with |p_k + z_0 b_0k| <= r + 1e-9 |p_k| for
+    all k, p = sum_{j>=1} z_j b_j.  Both widen the interval ends by 1e-12, as
+    the ball test does; callers give r 1e-9 relative to spare for rounding.
+    """
+    basis = np.asarray(basis, dtype=float)
+    if not (radius >= 0 and math.isfinite(radius * radius)):
+        raise InputError(f"radius must be nonnegative with a finite square, got {radius!r}")
+    cols = basis.T.tolist()
+    bstar, mu, norms2 = gram_schmidt(cols)
+    m = len(norms2)
+    # the center at a level is minus the sum of mu[j][level] * z_j over j > level
+    weights = [[mu[j][level] for j in range(level + 1, m)] for level in range(m)]
+    caps = [fsum(map(abs, w)) / n2 for w, n2 in zip(bstar, norms2)]
+    zvec = [0] * m
+    nodes = 0
+
+    def descend(level: int, remaining: float, nonzero_above: bool, p: List[float]) -> None:
+        nonlocal nodes, box
+        center = -fsum(map(mul, weights[level], zvec[level + 1:]))
+        norm2 = norms2[level]
+        span = math.sqrt(max(remaining, 0.0) / norm2)
+        if box is not None:
+            span = min(span, box * caps[level])
+        lo = math.ceil(center - span - 1e-12)
+        hi = math.floor(center + span + 1e-12)
+        if not nonzero_above and lo < 0:
+            lo = 0
+        if level == 0 and box is not None:
+            for pk, bk in zip(p, cols[0]):
+                r = box + 1e-9 * abs(pk)
+                if bk:
+                    c, w = -pk / bk, r / abs(bk)
+                    lo = max(lo, math.ceil(c - w - 1e-12))
+                    hi = min(hi, math.floor(c + w + 1e-12))
+                elif abs(pk) > r:
+                    return
+        slack = remaining + 1e-9 * (1.0 + remaining)
+        for zi in range(lo, hi + 1):
+            nodes += 1
+            if nodes > budget:
+                raise BudgetError(f"enumeration exceeded the node budget ({budget})")
+            offset = zi - center
+            used = offset * offset * norm2
+            if used > slack:
+                continue
+            zvec[level] = zi
+            if level:
+                descend(level - 1, remaining - used, nonzero_above or zi != 0,
+                        [a + zi * c for a, c in zip(p, cols[level])] if zi else p)
+            elif nonzero_above or zi:
+                box = leaf(zvec)
+        zvec[level] = 0
+
+    if m:
+        descend(m - 1, radius * radius, False, [0.0] * basis.shape[0])
+
+
 def enumerate_ball(
     basis: np.ndarray,
     radius: float,
@@ -195,47 +261,8 @@ def enumerate_ball(
     The basis should already be reduced or the search tree explodes; the
     node budget turns that into a BudgetError instead of a hang.
     """
-    basis = np.asarray(basis, dtype=float)
-    if not (radius >= 0 and math.isfinite(radius * radius)):
-        raise InputError(f"radius must be nonnegative with a finite square, got {radius!r}")
-    _, mu, norms2 = gram_schmidt(basis.T.tolist())
-    m = len(norms2)
-    # the center at a level is minus the sum of mu[j][level] * z_j over j > level
-    weights = [[mu[j][level] for j in range(level + 1, m)] for level in range(m)]
-    r2 = radius * radius
     out: List[List[int]] = []
-    zvec = [0] * m
-    nodes = 0
-
-    def descend(level: int, remaining: float, nonzero_above: bool) -> None:
-        nonlocal nodes
-        if level < 0:
-            if nonzero_above:
-                out.append(zvec.copy())
-            return
-        center = -fsum(map(mul, weights[level], zvec[level + 1:]))
-        norm2 = norms2[level]
-        span = math.sqrt(max(remaining, 0.0) / norm2)
-        lo = math.ceil(center - span - 1e-12)
-        hi = math.floor(center + span + 1e-12)
-        if not nonzero_above and lo < 0:
-            lo = 0
-        slack = remaining + 1e-9 * (1.0 + remaining)
-        for zi in range(lo, hi + 1):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetError(
-                    f"enumeration exceeded the node budget ({budget})"
-                )
-            offset = zi - center
-            used = offset * offset * norm2
-            if used > slack:
-                continue
-            zvec[level] = zi
-            descend(level - 1, remaining - used, nonzero_above or zi != 0)
-        zvec[level] = 0
-
-    descend(m - 1, r2, False)
+    _walk(basis, radius, budget, lambda z: out.append(z.copy()))
     return out
 
 
@@ -267,25 +294,32 @@ def sup_first_minimum(
     lattice vector with coefficients zc in the reduced basis, the columns
     of b, exactly where it matters (the flow experiments recompute the
     expanding coordinate without cancellation), so each candidate of the
-    enumeration is scored from its coefficients directly.  One enumeration
-    serves both numbers: the Euclidean ball of radius
-    sqrt(n) max(best column, box_radius) holds every vector of sup norm at
-    most either.  The count is always even, since v and -v land in the box
-    together.
+    enumeration is scored from its coefficients directly.  One walk serves
+    both numbers: it keeps the vectors of sup norm at most
+    r = max(best, box_radius + 1e-9) (1 + 1e-9), best the float sup of the
+    shortest column until a leaf scores lower (that column is a leaf too),
+    so the first minimum and every vector in the box are scored, and the
+    Euclidean ball of radius sqrt(n) r holds them all.  The count is always
+    even, since v and -v land in the box together.
     """
     if not box_radius > 0:
         raise InputError("box radius must be positive")
-    m = b.shape[1]
-    best = min(sup_of([int(i == j) for i in range(m)]) for j in range(m))
-    ball = max(best, box_radius) * math.sqrt(b.shape[0]) * (1.0 + 1e-9)
+    top = float(np.abs(b).max(axis=0).min())
     limit = box_radius + 1e-9
+    box = max(top, limit) * (1.0 + 1e-9)
+    best = math.inf
     half = 0
-    for zc in enumerate_ball(b, ball, budget):
+
+    def leaf(zc: List[int]) -> float:
+        nonlocal best, half
         s = sup_of(zc)
         if s < best:
             best = s
         if s <= limit:
             half += 1
+        return max(min(best, top), limit) * (1.0 + 1e-9)
+
+    _walk(b, box * math.sqrt(b.shape[0]), budget, leaf, box)
     return best, 2 * half
 
 

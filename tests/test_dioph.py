@@ -389,6 +389,21 @@ def test_dirichlet_walks_once_per_query(form, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("form", ["vect", "lf"])
+def test_probe_singular_walks_once_for_every_delta(form, monkeypatch):
+    """The walk does not read delta: three deltas cost one walk, and each
+    report equals the query of its delta alone."""
+    x, deltas, grid = (0.3, 0.7), (0.5, 0.1, 0.01), (2.0, 3.0, 5.0, 8.0)
+    alone = [dirichlet_solve(DirichletQuery(x, form, d, grid)).to_json() for d in deltas]
+    calls = []
+    walk = dioph.best_approximations
+    monkeypatch.setattr(dioph, "best_approximations",
+                        lambda *a, **k: calls.append(a) or walk(*a, **k))
+    reports, _ = probe_singular(x, form, deltas, grid)
+    assert len(calls) == 1
+    assert [rep.to_json() for rep in reports] == alone
+
+
 def test_dirichlet_solution_is_valid():
     rng = np.random.default_rng(55)
     for _ in range(25):

@@ -1,4 +1,4 @@
-"""Golden rows of `sim translate`: four frozen runs, recorded once.
+"""Golden rows of `sim translate`: five frozen runs, recorded once.
 
 Each case runs the CLI in process and compares its CSV and aggregates with
 the files in tests/data/.  The integer columns (sample index, box count,
@@ -24,6 +24,12 @@ from latflow import cli
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 MOMENT_BALL = {"center": [0.5], "radius": 0.45}
+# criterion 3's line phi(s) = (s, 1/2 + s/3)
+RATIONAL_LINE = {"n": 3, "k": 1,
+                 "coords": [{"monomials": [{"exps": [1], "coeff": "1"}]},
+                            {"monomials": [{"exps": [0], "coeff": "1/2"},
+                                           {"exps": [1], "coeff": "1/3"}]}],
+                 "center": [0.0], "radius": 1.0}
 
 
 def _curve(n, exps, center=(0.0,), radius=1.0):
@@ -34,12 +40,14 @@ def _curve(n, exps, center=(0.0,), radius=1.0):
 
 # name -> (curve, t grid, box radius, samples), at seed 1 each; moment4_t16
 # is a large t, where the chain of warm-started reductions keeps the
-# enumeration inside its node budget
+# enumeration inside its node budget; most candidates of rational_line lie
+# on the boundary of the box, where the enumeration's sup-box clip cuts
 CASES = {
     "parabola": (_curve(3, [1, 2]), "2,6", "1.5", 6),
     "moment4": (_curve(4, [1, 2, 3], **MOMENT_BALL), "2,4,6,8", "1.0", 6),
     "moment6": (_curve(6, [1, 2, 3, 4, 5], **MOMENT_BALL), "1,2,3", "0.5", 6),
     "moment4_t16": (_curve(4, [1, 2, 3], **MOMENT_BALL), "16", "1.5", 10),
+    "rational_line": (RATIONAL_LINE, "2,4,6", "1.5", 6),
 }
 
 

@@ -11,7 +11,14 @@ import oracles
 from latflow.errors import BudgetError, InputError
 from latflow.exact import ExactScalar
 from latflow.flows import Curve, curve_eval
-from latflow.lab.experiments import _head_form, _head_value
+from latflow.lab import reduction
+from latflow.lab.experiments import (
+    _chained_reduction,
+    _flow_stats,
+    _head_form,
+    _head_value,
+    translate_experiment,
+)
 from latflow.lab.reduction import (
     enumerate_ball,
     gram_schmidt,
@@ -182,6 +189,99 @@ def test_sup_first_minimum_matches_dense_scans():
                 got = sup_first_minimum(b, _sup_of(basis, z), radius)
                 assert got == (lam1, oracles.box_count_naive(basis, radius))
             assert got[1] > 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_sup_box_walk_matches_dense_scans_on_random_bases(n):
+    """The walk prunes by the sup box; every vector the dense scans find in
+    the box, and the first minimum, must survive.  Skewed columns and a box
+    below, at and above the first minimum."""
+    rng = np.random.default_rng(77 + n)
+    kept = 0
+    while kept < {5: 2, 6: 1}.get(n, 4):
+        scale = 0.35 if n < 5 else 0.15
+        basis = (np.eye(n) + rng.uniform(-scale, scale, size=(n, n))) \
+            @ np.diag(rng.uniform(0.7, 1.3, size=n))
+        if abs(np.linalg.det(basis)) < 0.3:
+            continue
+        kept += 1
+        lam1 = oracles.sup_minimum_naive(basis)
+        z, b = lll_with_transform(basis)[::-1]
+        for radius in (lam1 / 2, lam1, lam1 * (2.0 if n < 5 else 1.25)):
+            got = sup_first_minimum(b, _sup_of(basis, z), radius)
+            assert got == (lam1, oracles.box_count_naive(basis, radius)), (basis, radius)
+
+
+def _ball_points(b, radius):
+    """Every z != 0 (one of each +- pair) with ||b @ z|| <= radius, by a plain
+    Fincke-Pohst descent on the oracle's Gram-Schmidt, with no other bound."""
+    mu, norms2 = oracles.gram_schmidt_full(b)
+    m = b.shape[1]
+    found = []
+
+    def descend(level, z, remaining):
+        if level < 0:
+            if any(z) and [c for c in z if c][-1] > 0:
+                found.append(list(z))
+            return
+        center = -sum(mu[j, level] * z[j] for j in range(level + 1, m))
+        span = math.sqrt(max(remaining, 0.0) / norms2[level]) + 1e-9
+        for zi in range(math.ceil(center - span), math.floor(center + span) + 1):
+            z[level] = zi
+            descend(level - 1, z, remaining - (zi - center) ** 2 * norms2[level])
+        z[level] = 0
+
+    descend(m - 1, [0] * m, radius * radius * (1.0 + 1e-9))
+    return found
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_sup_box_walk_matches_an_unpruned_enumeration_on_flow_bases(n, monkeypatch):
+    """On the chain's reduced bases of the moment curve (t = 0..8), the
+    pruned walk gives the (lambda1, box count) of scoring every point of
+    the Euclidean ball sqrt(n) max(best column, R) with the same sup_of."""
+    seen = []
+    real = reduction.sup_first_minimum
+
+    def recorded(b, sup_of, box_radius, budget):
+        seen.append((b, sup_of, box_radius))
+        return real(b, sup_of, box_radius, budget)
+
+    monkeypatch.setattr(reduction, "sup_first_minimum", recorded)
+    one = ExactScalar(1)
+    curve = Curve(n=n, k=1, coords=[[((j,), one)] for j in range(1, n)], radius=1.0)
+    rng = np.random.default_rng(78)
+    for _ in range(3 if n < 6 else 2):
+        form = _head_form(curve_eval(curve, [Fraction(int(rng.integers(-997, 998)), 997)]))
+        chain = []
+        for t in range(9):
+            for radius in (0.3, 1.0):
+                got = _flow_stats(form, n, float(t), radius, 10**6,
+                                  _chained_reduction(form, n, float(t), chain))
+                b, sup_of, _ = seen[-1]
+                best = min(sup_of([int(i == j) for i in range(n)]) for j in range(n))
+                scores = [sup_of(zc) for zc in
+                          _ball_points(b, max(best, radius) * math.sqrt(n) * (1.0 + 1e-9))]
+                want = (min([best] + scores), 2 * sum(s <= radius + 1e-9 for s in scores))
+                assert got == want, (n, t, radius)
+
+
+def test_sup_box_walk_scores_little_beyond_the_box(monkeypatch):
+    """On the parabola at t = 6, R = 1.5 (criterion 4's scenario) the walk
+    calls sup_of about once per +- pair in the box; the Euclidean ball
+    alone holds about twice that."""
+    calls = []
+    real = reduction.sup_first_minimum
+
+    def counted(b, sup_of, box_radius, budget):
+        return real(b, lambda zc: calls.append(1) or sup_of(zc), box_radius, budget)
+
+    monkeypatch.setattr(reduction, "sup_first_minimum", counted)
+    one = ExactScalar(1)
+    curve = Curve(n=3, k=1, coords=[[((1,), one)], [((2,), one)]], radius=1.0)
+    rep = translate_experiment(curve, [6.0], samples=20, eps=0.1, box_radius=1.5, seed=1)
+    pairs = sum(row.siegel_count // 2 for row in rep.rows)
+    assert 0 < len(calls) <= pairs + 3 * len(rep.rows)
 
 
 @pytest.mark.parametrize("radius, named", [(math.nan, "nan"), (math.inf, "inf"),
