@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .errors import BudgetError, InputError, InvariantError
 from .exact import ExactMatrix, ExactScalar
-from .flows import Curve, FlowSpec, affine_span, curve_eval, load_curve, make_flow, u_row
+from .flows import Curve, FlowSpec, affine_span, curve_eval, load_curve, make_flow
 from .wedge import WedgeIndex, pfaffian, wedge_matrix, wedge_vector
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "load_curve",
     "make_flow",
     "pfaffian",
-    "u_row",
     "wedge_matrix",
     "wedge_vector",
 ]

@@ -60,6 +60,14 @@ def _co_int(raw) -> int:
         raise InputError(f"expected an integer, got {raw!r}")
 
 
+def _co_budget(raw) -> int:
+    # a budget below 1 admits no work, so it is a usage error, not an exhausted search
+    budget = _co_int(raw)
+    if budget < 1:
+        raise InputError(f"budget must be >= 1, got {budget}")
+    return budget
+
+
 def _co_float(raw) -> float:
     try:
         return float(raw)
@@ -113,20 +121,25 @@ def _scalar_entry(e) -> ExactScalar:
     raise InputError(f"bad matrix entry {e!r}")
 
 
+def _grid(raw, expected: str):
+    """(rows, written as rows) of a grid option. A string splits into rows at
+    ';' and into stripped entries at ','; a config list is a list of rows or
+    one flat row."""
+    if isinstance(raw, str):
+        return [[e.strip() for e in r.split(",")] for r in raw.split(";")], ";" in raw
+    if isinstance(raw, (list, tuple)) and raw:
+        if all(isinstance(r, (list, tuple)) for r in raw):
+            return [list(r) for r in raw], True
+        return [list(raw)], False
+    raise InputError(f"expected {expected}, got {raw!r}")
+
+
 def _co_matrix(raw) -> ExactMatrix:
     """Rows separated by ';', entries by ','. Entries may be integers,
     fractions like 3/7, or radical combinations like 1-2r5 (meaning
     1 - 2*sqrt(5)); config files may also use nested JSON arrays."""
-    if isinstance(raw, str):
-        rows = [[_scalar_entry(e) for e in r.split(",")] for r in raw.split(";")]
-    elif isinstance(raw, (list, tuple)) and raw:
-        if all(isinstance(r, (list, tuple)) for r in raw):
-            rows = [[_scalar_entry(e) for e in r] for r in raw]
-        else:
-            rows = [[_scalar_entry(e) for e in raw]]
-    else:
-        raise InputError(f"expected a matrix, got {raw!r}")
-    return ExactMatrix(rows)
+    rows, _ = _grid(raw, "a matrix")
+    return ExactMatrix([[_scalar_entry(e) for e in row] for row in rows])
 
 
 def _target_matrix(raw):
@@ -137,15 +150,7 @@ def _target_matrix(raw):
     entry carrying a decimal point turns the whole target into a float
     matrix and the search runs numerically.
     """
-    if isinstance(raw, str):
-        grid = [[e.strip() for e in r.split(",")] for r in raw.split(";")]
-    elif isinstance(raw, (list, tuple)) and raw:
-        if all(isinstance(r, (list, tuple)) for r in raw):
-            grid = [list(r) for r in raw]
-        else:
-            grid = [list(raw)]
-    else:
-        raise InputError(f"expected a matrix, got {raw!r}")
+    grid, _ = _grid(raw, "a matrix")
     numeric = any(
         isinstance(e, float) or (isinstance(e, str) and "." in e)
         for row in grid for e in row
@@ -190,15 +195,9 @@ def _frac_entry(e) -> Fraction:
 def _co_frac_rows(raw):
     """Vector or matrix of exact rationals. Returns a flat list for vector
     input and a list of rows when ';' (or nesting) splits it into rows."""
-    if isinstance(raw, str):
-        if ";" in raw:
-            return [[_frac_entry(e) for e in r.split(",")] for r in raw.split(";")]
-        return [_frac_entry(e) for e in raw.split(",")]
-    if isinstance(raw, (list, tuple)) and raw:
-        if all(isinstance(r, (list, tuple)) for r in raw):
-            return [[_frac_entry(e) for e in r] for r in raw]
-        return [_frac_entry(e) for e in raw]
-    raise InputError(f"expected a vector or matrix, got {raw!r}")
+    grid, nested = _grid(raw, "a vector or matrix")
+    rows = [[_frac_entry(e) for e in row] for row in grid]
+    return rows if nested else rows[0]
 
 
 def _co_rep(raw):
@@ -281,7 +280,7 @@ _OUT = Opt("out", _co_str, "write the result to this path instead of stdout")
 _TARGET = Opt("a", _target_matrix, "target matrix: rows ';'-separated, entries "
               "','-separated; decimal entries are searched as floats, p/q and rN "
               "forms exactly", required=True, show=_show_matrix)
-_BUDGET = Opt("budget", _co_int, "enumeration budget",
+_BUDGET = Opt("budget", _co_budget, "enumeration budget",
               default=dioph.DEFAULT_ENUM_BUDGET)
 
 
@@ -346,10 +345,6 @@ def _emit_text(text: str, out: Optional[str]) -> None:
 
 def _emit_json(payload: dict, out: Optional[str]) -> None:
     _emit_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
-
-
-def _mat_json(m: ExactMatrix):
-    return [[x.serialize() for x in row] for row in m.rows]
 
 
 # -- dioph --------------------------------------------------------------------
@@ -482,7 +477,7 @@ SIM_TRANSLATE_OPTS = [
     Opt("radius", _co_float, "half-width of the counting box", default=1.5),
     Opt("eps", _co_float, "smallness threshold for the shortest vector",
         default=0.1),
-    Opt("budget", _co_int, "lattice-point enumeration budget",
+    Opt("budget", _co_budget, "lattice-point enumeration budget",
         default=DEFAULT_NODE_BUDGET),
     Opt("aggregates", _co_str, "also write per-time aggregates to this JSON path"),
     _OUT,
@@ -519,13 +514,13 @@ def _run_sim_example(v) -> int:
     payload["r"] = ex.r
     payload["m"] = v["m"]
     payload["D"] = ex.d_field
-    payload["l0_inv"] = _mat_json(ex.l0_inv)
-    payload["l0"] = _mat_json(ex.l0)
+    payload["l0_inv"] = _show_matrix(ex.l0_inv)
+    payload["l0"] = _show_matrix(ex.l0)
     payload["span"] = {
         "d": ex.span.d,
         "order": list(ex.span.order),
         "pivots": list(ex.span.pivots),
-        "matrix": _mat_json(ex.span.matrix) if ex.span.matrix is not None else None,
+        "matrix": _show_matrix(ex.span.matrix) if ex.span.matrix is not None else None,
     }
     _emit_json(payload, v["out"])
     return 0

@@ -130,7 +130,7 @@ def _shell_walk(af, exact, qmax) -> List[ApproxRecord]:
         if low < best:
             best = low
             q = min(_sign_normalized(c) for c in qs[keys == low].tolist())
-            records.append(_finalize_record(af, h, q, _nearest_p(q, af, scaled), exact))
+            records.append(_finalize_record(af, h, q, _nearest_p(q, af, scaled), low, scaled))
             if records[-1].exact_zero:
                 break
     return records
@@ -216,23 +216,23 @@ def _best_approx_1d(af, exact, qmax) -> List[ApproxRecord]:
                 best = res[i]
                 q = (int(qs[i, 0]),)
                 p = _nearest_p(q, af, scaled)
-                records.append(_finalize_record(af, q[0], q, p, exact))
+                records.append(_finalize_record(af, q[0], q, p, res[i], scaled))
                 if records[-1].exact_zero:
                     return records
     return records
 
 
-def _finalize_record(af, h, q, p, exact) -> ApproxRecord:
-    """Attach an exact-zero flag when the rational arithmetic confirms the
-    residual vanishes; the float residual is kept for reporting either way."""
+def _finalize_record(af, h, q, p, key, scaled) -> ApproxRecord:
+    """A record from the walk's rank key. A rational target's key is the
+    exact residual numerator over L, so the residual is key / L correctly
+    rounded and the record is an exact zero when the key is 0. A float
+    target's residual is evaluated again in one product, as the batched key
+    may differ from it in the last bits."""
     qt, pt = tuple(int(c) for c in q), tuple(int(c) for c in p)
-    if exact is not None:
-        vals = exact.apply([ExactScalar(c) for c in qt])
-        exact_res = [v + ExactScalar(c) for v, c in zip(vals, pt)]
-        if all(v.sign() == 0 for v in exact_res):
-            return ApproxRecord(qnorm=h, q=qt, p=pt, residual=0.0, exact_zero=True)
-        res = max(abs(float(v)) for v in exact_res)
-        return ApproxRecord(qnorm=h, q=qt, p=pt, residual=res)
+    if scaled is not None:
+        key = int(key)
+        return ApproxRecord(qnorm=h, q=qt, p=pt, residual=key / scaled[1],
+                            exact_zero=key == 0)
     vals = af @ np.asarray(qt, dtype=float)
     res = float(np.max(np.abs(vals + np.asarray(pt, dtype=float))))
     return ApproxRecord(qnorm=h, q=qt, p=pt, residual=res)
@@ -397,6 +397,8 @@ def w_probe(
         raise InputError(f"unknown probe target {target!r}")
     if r <= 0:
         raise InputError("r must be positive")
+    if not (math.isfinite(c) and c > 0):
+        raise InputError(f"c must be finite and > 0, got {c}")
     check_exponent(r, qmax)
     tname = "W_r" if target == "W" else "W'_r"
     cert = rational_certificate(a)
@@ -535,18 +537,14 @@ class DirichletReport:
         }
 
 
-def dirichlet_solve(query: DirichletQuery) -> DirichletReport:
-    """Test solvability at each T from one best-approximation walk to the
-    largest T: 'vect' walks the column x, 'lf' the row x. The smallest
-    solution at T is the first record within T's norm bound whose residual
-    meets T's threshold, so a row depends on no other T. The tail (upper half
-    of the grid by index) stands in for 'all sufficiently large T'."""
-    return _dirichlet_reports([query])[0]
-
-
 def _dirichlet_reports(queries: Sequence[DirichletQuery]) -> List[DirichletReport]:
-    """dirichlet_solve of queries that differ in delta alone, all read from
-    the walk of the first: the walk does not read delta."""
+    """Solvability of queries that differ in delta alone, at each T, all
+    read from one best-approximation walk to the largest T of the first:
+    'vect' walks the column x, 'lf' the row x, and the walk does not read
+    delta. The smallest solution at T is the first record within T's norm
+    bound whose residual meets T's threshold, so a row depends on no other
+    T. The tail (upper half of the grid by index) stands in for 'all
+    sufficiently large T'."""
     first = queries[0]
     n, vect = len(first.x), first.form == "vect"
     a = [[float(v)] for v in first.x] if vect else [[float(v) for v in first.x]]

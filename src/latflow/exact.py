@@ -404,39 +404,13 @@ class ExactMatrix:
         )
         return f"ExactMatrix[{self.nrows}x{self.ncols}]({body})"
 
-    def row(self, i: int) -> List[ExactScalar]:
-        return list(self.rows[i])
-
-    def col(self, j: int) -> List[ExactScalar]:
-        return [r[j] for r in self.rows]
-
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix([[self.rows[i][j] for i in range(self.nrows)]
                             for j in range(self.ncols)])
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._shape_check(other, same=True)
-        return ExactMatrix([
-            [self.rows[i][j] + other.rows[i][j] for j in range(self.ncols)]
-            for i in range(self.nrows)
-        ])
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._shape_check(other, same=True)
-        return ExactMatrix([
-            [self.rows[i][j] - other.rows[i][j] for j in range(self.ncols)]
-            for i in range(self.nrows)
-        ])
-
-    def _shape_check(self, other: "ExactMatrix", same: bool = False):
-        if same:
-            if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-                raise ExactError("shape mismatch")
-        elif self.ncols != other.nrows:
-            raise ExactError("inner dimension mismatch")
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._shape_check(other)
+        if self.ncols != other.nrows:
+            raise ExactError("inner dimension mismatch")
         cols = other.transpose().rows
         out = []
         for row in self.rows:

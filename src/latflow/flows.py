@@ -68,16 +68,6 @@ def make_flow(spec: FlowSpec, t: float) -> np.ndarray:
     return np.diag([float(np.exp(float(e) * t)) for e in spec.exponents()])
 
 
-def u_row(v: Sequence) -> ExactMatrix:
-    """Expanding-horosphere element: first row (1, v), identity below."""
-    v = [ExactScalar.coerce(x) for x in v]
-    n = len(v) + 1
-    rows = [[ExactScalar(1)] + v]
-    for i in range(1, n):
-        rows.append([ExactScalar(1 if j == i else 0) for j in range(n)])
-    return ExactMatrix(rows)
-
-
 def g_of_A(a: ExactMatrix, n: int) -> ExactMatrix:
     """Block unipotent [[I_d, A], [0, I_{n-d}]] for A of shape d x (n-d)."""
     d = a.nrows

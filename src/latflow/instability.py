@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, InvariantError
-from .exact import ExactMatrix, ExactScalar, eliminate
+from .exact import ExactScalar, eliminate
 from .wedge import WedgeIndex
 
 Weight = Tuple[int, ...]
@@ -27,11 +27,11 @@ def weight_support(v: Sequence, rep, n: int) -> frozenset:
     """Set of torus weights carrying a nonzero coordinate of v.
 
     rep is 'standard' (v: n coordinates), ('wedge', k) (v: C(n,k) coordinates
-    in lex order), or 'adjoint' (v: n x n matrix entries, row-major or nested;
+    in lex order), or 'adjoint' (v: the n rows of an n x n matrix;
     off-diagonal (i,j) has weight e_i - e_j, the diagonal weight is 0).
     """
     if rep == "standard":
-        coords = _coerce_vec(v)
+        coords = [ExactScalar.coerce(x) for x in v]
         if len(coords) != n:
             raise InputError(f"standard rep of SL_{n} needs {n} coordinates")
         out = set()
@@ -44,7 +44,7 @@ def weight_support(v: Sequence, rep, n: int) -> frozenset:
     if isinstance(rep, tuple) and len(rep) == 2 and rep[0] == "wedge":
         k = rep[1]
         idx = WedgeIndex(n, k)
-        coords = _coerce_vec(v)
+        coords = [ExactScalar.coerce(x) for x in v]
         if len(coords) != idx.dim:
             raise InputError(f"wedge({k}) of SL_{n} needs {idx.dim} coordinates")
         out = set()
@@ -57,10 +57,7 @@ def weight_support(v: Sequence, rep, n: int) -> frozenset:
                 out.add(tuple(w))
         return frozenset(out)
     if rep == "adjoint":
-        if isinstance(v, ExactMatrix):
-            rows = [list(r) for r in v.rows]
-        else:
-            rows = [_coerce_vec(row) for row in v]
+        rows = [[ExactScalar.coerce(x) for x in row] for row in v]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise InputError(f"adjoint rep of SL_{n} needs an {n}x{n} matrix")
         out = set()
@@ -77,16 +74,6 @@ def weight_support(v: Sequence, rep, n: int) -> frozenset:
                     out.add(tuple(w))
         return frozenset(out)
     raise InputError(f"unsupported representation {rep!r}")
-
-
-def _coerce_vec(v) -> List[ExactScalar]:
-    if isinstance(v, ExactMatrix):
-        if v.nrows == 1:
-            return v.row(0)
-        if v.ncols == 1:
-            return v.col(0)
-        raise InputError("expected a vector")
-    return [ExactScalar.coerce(x) for x in v]
 
 
 def m_value(v: Sequence, lam: Sequence[int], rep, n: int) -> int:
@@ -172,7 +159,6 @@ class KempfResult:
     b2: Fraction
     lam_star: Optional[Tuple[int, ...]]
     m_star: Optional[Fraction]
-    hull_point: Optional[Point]
 
     @property
     def b(self) -> float:
@@ -219,8 +205,7 @@ def kempf_optimum(v: Sequence, rep, n: int) -> KempfResult:
     h, _ = min_norm_point(projected)
     b2 = _dot(h, h)
     if b2 == 0:
-        return KempfResult(unstable=False, b2=Fraction(0), lam_star=None,
-                           m_star=None, hull_point=None)
+        return KempfResult(unstable=False, b2=Fraction(0), lam_star=None, m_star=None)
     scale_lcm = 1
     for c in h:
         scale_lcm = scale_lcm * c.denominator // math.gcd(scale_lcm, c.denominator)
@@ -234,8 +219,7 @@ def kempf_optimum(v: Sequence, rep, n: int) -> KempfResult:
     lam2 = sum(Fraction(c * c) for c in lam)
     if m_star * m_star != b2 * lam2 or m_star <= 0:
         raise InvariantError("destabilizing cocharacter failed the ratio check")
-    return KempfResult(unstable=True, b2=b2, lam_star=lam, m_star=m_star,
-                       hull_point=h)
+    return KempfResult(unstable=True, b2=b2, lam_star=lam, m_star=m_star)
 
 
 def parabolic_of(lam: Sequence[int]):

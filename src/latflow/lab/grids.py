@@ -20,7 +20,6 @@ typical sample.
 from __future__ import annotations
 
 import math
-from typing import Tuple
 
 import numpy as np
 
@@ -103,6 +102,3 @@ class Grid3:
         # counts 2*floor(w) + 1 points, one of which is the origin
         total = float(na.sum()) - 1.0
         return int(round(total))
-
-    def stats(self, v1: float, v2: float) -> Tuple[float, int]:
-        return self.lambda1_sup(v1, v2), self.box_count(v1, v2)

@@ -81,23 +81,6 @@ def _pairing(b: IVec, a: IVec, aa: int) -> Tuple[int, int]:
     return divmod(2 * _dot(b, a), aa)
 
 
-def reflection_number(beta: Sequence, alpha: Sequence):
-    """2(beta, alpha)/(alpha, alpha); an integer on the weight lattice."""
-    _, [(b, a)] = _integral([beta, alpha])
-    aa = _norm(a)
-    num, rem = _pairing(b, a, aa)
-    return Fraction(num * aa + rem, aa) if rem else num
-
-
-def reflect(beta: Sequence, alpha: Sequence) -> Vec:
-    """Image of beta under the reflection fixing the hyperplane of alpha."""
-    d, [(b, a)] = _integral([beta, alpha])
-    aa = _norm(a)
-    num, rem = _pairing(b, a, aa)
-    # beta - (num + rem/aa) alpha, over the denominator aa d
-    return tuple(Fraction(aa * (x - num * y) - rem * y, aa * d) for x, y in zip(b, a))
-
-
 @dataclass(frozen=True)
 class RootSystem:
     family: str
@@ -106,10 +89,6 @@ class RootSystem:
     roots: FrozenSet[Vec]
     simple: Tuple[Vec, ...]
     fundamental: Tuple[Vec, ...]
-
-    @property
-    def name(self) -> str:
-        return f"{self.family}{self.rank}"
 
     def to_json(self) -> dict:
         fmt = lambda v: [str(c) for c in v]
@@ -309,9 +288,3 @@ def minuscule_checks(max_rank: int):
                 pi = sorted(saturate([omega], rs))
                 yield rs, i, pi, classification_check(rs, pi)
 
-
-def classification_scan(max_rank: int = 3):
-    """Witness lists of minuscule_checks, keyed by (family, rank, weight
-    index 1-based)."""
-    return {(rs.family, rs.rank, i + 1): witnesses
-            for rs, i, _, witnesses in minuscule_checks(max_rank)}

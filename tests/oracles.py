@@ -476,6 +476,12 @@ def coroot_pairing(beta, alpha):
     return 2 * dot(beta, alpha) / dot(alpha, alpha)
 
 
+def reflect(beta, alpha):
+    """Image of beta under the reflection in the hyperplane of alpha."""
+    c = coroot_pairing(beta, alpha)
+    return tuple(Fraction(b) - c * Fraction(a) for b, a in zip(beta, alpha))
+
+
 def root_string_closure(seed, roots, limit):
     """The least set of weights holding `seed` that contains, with each weight
     mu and root alpha, the whole alpha-string mu, mu - alpha, ...,

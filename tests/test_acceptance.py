@@ -13,15 +13,15 @@ import numpy as np
 import pytest
 
 import oracles
-from latflow.dioph import DirichletQuery, a_ext, dirichlet_solve, probe_singular
+from latflow.dioph import a_ext, probe_singular
 from latflow.exact import ExactMatrix, ExactScalar
-from latflow.flows import Curve, FlowSpec, make_flow, u_row
+from latflow.flows import Curve, FlowSpec, g_of_A, make_flow
 from latflow.instability import kempf_optimum, weight_support
 from latflow.lab.descent import descend_to_vector
 from latflow.lab.experiments import translate_experiment
 from latflow.lab.kfield import quadratic_subspace_example
 from latflow.lab.symplectic import residual_check
-from latflow.rootsys import classification_scan
+from latflow.rootsys import minuscule_checks
 from latflow.wedge import pfaffian, wedge_matrix, wedge_vector
 
 F = Fraction
@@ -59,11 +59,14 @@ def test_criterion_01_algebraic_identity_suite():
         g = make_flow(FlowSpec("g", n), t)
         assert np.max(np.abs(c @ b - g)) <= 1e-12
 
+    def u(v):  # first row (1, v), identity below
+        return g_of_A(ExactMatrix([v]), len(v) + 1)
+
     for _ in range(1000):  # u(v) u(w) = u(v + w), exact
         k = int(rng.integers(1, 6))
         v = rng.integers(-9, 10, size=k).tolist()
         w = rng.integers(-9, 10, size=k).tolist()
-        assert u_row(v) @ u_row(w) == u_row([x + y for x, y in zip(v, w)])
+        assert u(v) @ u(w) == u([x + y for x, y in zip(v, w)])
 
     assert time.monotonic() - start < 60.0
 
@@ -197,7 +200,7 @@ def test_criterion_08_minuscule_scan_pass_set():
     fundamental of the C family, with the rank-2 B system and the rank-3
     D system admitted through the coincidences B2 = C2 and D3 = A3."""
     start = time.monotonic()
-    scan = classification_scan(3)
+    scan = {(rs.family, rs.rank, i + 1): wits for rs, i, _, wits in minuscule_checks(3)}
     passed = {key for key, wits in scan.items() if wits}
     a_family = {("A", r, i) for r in (1, 2, 3) for i in (1, r)}
     c_family = {("C", 2, 1), ("C", 3, 1)}
@@ -216,7 +219,7 @@ def test_criterion_09_dirichlet_solvability_and_singularity():
     for dim in (1, 2):
         for _ in range(100):
             x = tuple(float(v) for v in rng.uniform(-1, 1, size=dim))
-            rep = dirichlet_solve(DirichletQuery(x, "vect", 1.0, t_grid))
+            [rep], _ = probe_singular(x, "vect", (1.0,), t_grid)
             assert all(row.solvable for row in rep.rows), (x,)
     for x in ((0.5,), (F(1, 3), F(2, 7)), (0.25, -0.75)):
         # the tail of the grid must reach T^dim >= common denominator,

@@ -40,7 +40,7 @@ def test_ext_prints_the_frozen_column():
     assert res.stdout.split() == ["-2", "1", "-4", "3", "2"]
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert run_cli("dioph", "ext", "--n", "5", "--a", "1,2;3,4").returncode == 2
     assert run_cli("dioph", "approx").returncode == 2  # missing required --a
     assert run_cli("nonsense").returncode == 2
@@ -61,6 +61,53 @@ def test_usage_errors_exit_2(tmp_path):
                       "--seed", "1", *argv)
         assert res.returncode == 2, res.stderr
         assert named in res.stderr and "Traceback" not in res.stderr
+    # a budget below 1 is a usage error, not an exhausted search, and the W
+    # constant c must be finite and positive: exit 2 naming the value, in a dry run too
+    commands = [["dioph", "approx", "--a", "0.41", "--qmax", "10"],
+                ["dioph", "exponent", "--a", "0.41", "--qmax", "10"],
+                ["dioph", "probe", "--a", "0.41", "--r", "2", "--qmax", "10"],
+                ["dirichlet", "--x", "0.41", "--delta", "0.5", "--t", "2,3"],
+                ["sim", "translate", "--curve", curve, "--t", "1", "--samples", "2",
+                 "--seed", "1"]]
+    for argv in commands:
+        for budget, dry in (("0", []), ("-5", []), ("0", ["--dry-run"])):
+            assert cli.main([*argv, f"--budget={budget}", *dry]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err == f"error: budget must be >= 1, got {budget}\n"
+            assert captured.out == ""
+    for c in ("nan", "-1", "0", "inf", "-inf"):
+        assert cli.main([*commands[2], f"--c={c}"]) == 2
+        assert capsys.readouterr().err == f"error: c must be finite and > 0, got {float(c)}\n"
+    assert cli.main([*commands[2], "--c=0.5"]) == 0
+
+
+def test_example_refuses_a_field_with_a_square_factor(capsys):
+    """18 = 2 * 3^2 and 50 = 2 * 5^2 are not squarefree (the odd-factor
+    scan), while 10 = 2 * 5 is."""
+    for d in ("18", "50"):
+        assert cli.main(["sim", "example", "--n", "4", "--r", "2", "--D", d]) == 2
+        assert capsys.readouterr().err == f"error: D must be squarefree and >= 2, got {d}\n"
+    assert cli.main(["sim", "example", "--n", "4", "--r", "2", "--D", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["D"] == 10
+
+
+def test_translate_of_a_two_parameter_curve_reruns_byte_identically(tmp_path):
+    """Samples of a k = 2 curve go through the rejection loop; a rerun with
+    the same seed writes the same bytes."""
+    one = {"exps": [1, 0], "coeff": "1"}
+    curve = tmp_path / "surface.json"
+    curve.write_text(json.dumps({
+        "n": 3, "k": 2, "center": [0.5, -0.25], "radius": 0.3,
+        "coords": [{"monomials": [one]},
+                   {"monomials": [{"exps": [0, 1], "coeff": "1"},
+                                  {"exps": [2, 0], "coeff": "1/3"}]}]}))
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        assert cli.main(["sim", "translate", "--curve", str(curve), "--t", "0,2",
+                         "--samples", "6", "--seed", "11", "--out", str(out)]) == 0
+    body = outs[0].read_bytes()
+    assert body == outs[1].read_bytes()
+    assert len(body.decode().splitlines()) == 1 + 6 * 2
 
 
 def test_missing_config_file_exits_4(tmp_path):
@@ -363,7 +410,7 @@ def test_cli_input_edges_exit_cleanly(edge_dir, call):
 # every integer option of the commands above, by command
 INT_OPTIONS = [(command, opt.name) for command in sorted(COMMANDS)
                for opt in cli.build_parser().parse_args(list(command)).opts
-               if opt.coerce is cli._co_int]
+               if opt.coerce in (cli._co_int, cli._co_budget)]
 
 
 @pytest.mark.parametrize("command, name", INT_OPTIONS)

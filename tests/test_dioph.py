@@ -17,7 +17,6 @@ from latflow.dioph import (
     DirichletQuery,
     a_ext,
     best_approximations,
-    dirichlet_solve,
     exponent_estimate,
     probe_singular,
     rational_certificate,
@@ -28,6 +27,12 @@ from latflow.errors import BudgetError, InputError
 from latflow.exact import ExactMatrix
 
 SQRT2M1 = math.sqrt(2) - 1
+
+
+def _dirichlet(x, form, delta, grid):
+    """The report of one Dirichlet query, as the `dirichlet` command reads it."""
+    reports, _ = probe_singular(x, form, [delta], grid)
+    return reports[0]
 
 
 def test_one_third_terminates_exactly():
@@ -339,7 +344,7 @@ def test_probe_json_shape():
 
 
 def test_dirichlet_at_zero():
-    rep = dirichlet_solve(DirichletQuery((0.0,), "vect", 0.5, (2.0, 4.0)))
+    rep = _dirichlet((0.0,), "vect", 0.5, (2.0, 4.0))
     for row in rep.rows:
         assert row.solvable and row.q == (1,) and row.p == (0,)
     assert rep.verdict == "improvable-evidence"
@@ -355,7 +360,7 @@ def test_dirichlet_matches_naive():
             x = tuple(float(v) for v in rng.uniform(-1, 1, size=n))
             delta = float(rng.choice([1.0, 0.7, 0.4]))
             big_t = float(rng.choice([1.5, 2.0, 3.0]))
-            row = dirichlet_solve(DirichletQuery(x, form, delta, (big_t,))).rows[0]
+            row = _dirichlet(x, form, delta, (big_t,)).rows[0]
             if form == "vect":
                 q = oracles.dirichlet_vect_naive(x, delta, big_t)
                 want = None if q is None else (q,)
@@ -373,9 +378,9 @@ def test_dirichlet_row_does_not_depend_on_the_other_t(form):
         n = int(rng.integers(1, 4))
         x = tuple(float(v) for v in rng.uniform(-1, 1, size=n))
         delta = float(rng.choice([1.0, 0.5, 0.1]))
-        rows = dirichlet_solve(DirichletQuery(x, form, delta, grid)).rows
+        rows = _dirichlet(x, form, delta, grid).rows
         for t, row in zip(grid, rows):
-            alone = dirichlet_solve(DirichletQuery(x, form, delta, (t,))).rows[0]
+            alone = _dirichlet(x, form, delta, (t,)).rows[0]
             assert row == alone, (x, delta, t)
 
 
@@ -385,7 +390,7 @@ def test_dirichlet_walks_once_per_query(form, monkeypatch):
     walk = dioph.best_approximations
     monkeypatch.setattr(dioph, "best_approximations",
                         lambda *a, **k: calls.append(a) or walk(*a, **k))
-    dirichlet_solve(DirichletQuery((0.3, 0.7), form, 0.5, (2.0, 3.0, 5.0, 8.0)))
+    _dirichlet((0.3, 0.7), form, 0.5, (2.0, 3.0, 5.0, 8.0))
     assert len(calls) == 1
 
 
@@ -394,7 +399,7 @@ def test_probe_singular_walks_once_for_every_delta(form, monkeypatch):
     """The walk does not read delta: three deltas cost one walk, and each
     report equals the query of its delta alone."""
     x, deltas, grid = (0.3, 0.7), (0.5, 0.1, 0.01), (2.0, 3.0, 5.0, 8.0)
-    alone = [dirichlet_solve(DirichletQuery(x, form, d, grid)).to_json() for d in deltas]
+    alone = [_dirichlet(x, form, d, grid).to_json() for d in deltas]
     calls = []
     walk = dioph.best_approximations
     monkeypatch.setattr(dioph, "best_approximations",
@@ -410,7 +415,7 @@ def test_dirichlet_solution_is_valid():
         n = int(rng.integers(1, 4))
         x = np.asarray(rng.uniform(-1, 1, size=n))
         big_t = 2.5
-        rep = dirichlet_solve(DirichletQuery(tuple(x), "vect", 0.8, (big_t,)))
+        rep = _dirichlet(tuple(x), "vect", 0.8, (big_t,))
         row = rep.rows[0]
         if row.solvable:
             q, p = row.q[0], np.asarray(row.p)
@@ -424,8 +429,8 @@ def test_dirichlet_shrinks_with_delta():
     grid = (1.5, 2.0, 3.0, 5.0)
     for _ in range(10):
         x = tuple(float(v) for v in rng.uniform(-1, 1, size=2))
-        hi = dirichlet_solve(DirichletQuery(x, "vect", 0.8, grid))
-        lo = dirichlet_solve(DirichletQuery(x, "vect", 0.3, grid))
+        hi = _dirichlet(x, "vect", 0.8, grid)
+        lo = _dirichlet(x, "vect", 0.3, grid)
         for row_hi, row_lo in zip(hi.rows, lo.rows):
             if row_lo.solvable:
                 assert row_hi.solvable

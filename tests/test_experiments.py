@@ -52,6 +52,28 @@ def test_samples_stay_in_the_ball():
         assert abs(s) <= 0.25
 
 
+def _surface(k, center, radius):
+    """A k-parameter curve in R^2 (n = 3): s -> (s_1, s_2 + ... + s_k + s_1^2)."""
+    one = ExactScalar(1)
+    unit = lambda j, e=1: tuple(e if i == j else 0 for i in range(k))
+    return Curve(n=3, k=k, coords=[[(unit(0), one)], [(unit(j), one) for j in range(1, k)]
+                                   + [(unit(0, 2), one)]], center=center, radius=radius)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_samples_in_a_ball_of_several_parameters(k):
+    """For k >= 2 a draw from the cube is kept only inside the unit ball:
+    every sample lies in the curve's ball, and sample i depends only on
+    (seed, i), not on how many samples are asked for."""
+    center = [0.5, -0.25, 1.0][:k]
+    c = _surface(k, center, 0.3)
+    pts = sample_ball(c, 300, 1)
+    assert all(len(p) == k and math.dist(p, center) <= 0.3 * (1 + 1e-12) for p in pts)
+    # a ball fills pi/4 (k = 2) or pi/6 (k = 3) of its cube: the far corners are never hit
+    assert max(math.dist(p, center) for p in pts) > 0.28
+    assert sample_ball(c, 40, 3)[:7] == sample_ball(c, 7, 3)
+
+
 def test_rows_are_sample_major():
     rep = translate_experiment(_parabola(), [0.0, 1.0], samples=4, eps=0.1, box_radius=1.5, seed=2)
     keys = [(r.sample_index, r.t) for r in rep.rows]

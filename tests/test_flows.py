@@ -22,7 +22,6 @@ from latflow.flows import (
     load_curve,
     make_flow,
     span_matrix_entries_rational,
-    u_row,
 )
 
 
@@ -71,6 +70,11 @@ def test_g_factorization_all_shapes():
         g = make_flow(FlowSpec("g", n), t)
         scale = np.maximum(np.abs(g), 1.0)
         assert np.max(np.abs(c @ b - g) / scale) < 1e-14
+
+
+def u_row(v):
+    """Expanding-horosphere element: first row (1, v), identity below."""
+    return g_of_A(ExactMatrix([v]), len(v) + 1)
 
 
 def test_u_row_group_law():

@@ -41,13 +41,6 @@ def test_counts_are_even():
         assert grid.box_count(v1, v2) % 2 == 0
 
 
-def test_stats_bundles_both():
-    grid = Grid3(0.7, 1.2)
-    lam, count = grid.stats(0.3, -0.9)
-    assert lam == pytest.approx(grid.lambda1_sup(0.3, -0.9))
-    assert count == grid.box_count(0.3, -0.9)
-
-
 def test_unimodular_lambda1_bound():
     # sup-norm Minkowski: lambda_1 <= 1 for every sample and time
     rng = np.random.default_rng(83)

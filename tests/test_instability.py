@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import oracles
 from latflow.errors import InputError, InvariantError
-from latflow.exact import ExactMatrix
 from latflow.instability import (
     _affine_minimizer,
     kempf_optimum,
@@ -41,8 +40,7 @@ def test_weight_support_wedge():
 
 
 def test_weight_support_adjoint():
-    m = ExactMatrix([[1, 2], [0, 1]])
-    sup = weight_support(m, "adjoint", 2)
+    sup = weight_support([[1, 2], [0, 1]], "adjoint", 2)
     assert sup == frozenset({(0, 0), (1, -1)})
     with pytest.raises(InputError):
         weight_support([[1, 2, 3]], "adjoint", 2)

@@ -13,17 +13,24 @@ from latflow.rootsys import (
     _validate,
     build_root_system,
     classification_check,
-    classification_scan,
     is_dominant,
     is_minuscule,
     minuscule_checks,
-    reflect,
-    reflection_number,
     saturate,
     supported_systems,
 )
 
 F = Fraction
+
+
+def _name(rs):
+    return f"{rs.family}{rs.rank}"
+
+
+def _scan(max_rank):
+    """Witness lists of minuscule_checks, keyed by (family, rank, weight
+    index 1-based)."""
+    return {(rs.family, rs.rank, i + 1): wits for rs, i, _, wits in minuscule_checks(max_rank)}
 
 
 def test_root_counts():
@@ -44,21 +51,22 @@ def test_simple_root_pairings_a2():
     a2 = build_root_system("A", 2)
     a1, a2s = a2.simple
     assert sum(c * c for c in a1) == 2
-    assert reflection_number(a1, a2s) == -1
-    assert reflection_number(a2s, a1) == -1
-    assert reflection_number(a1, a1) == 2
+    assert oracles.coroot_pairing(a1, a2s) == -1
+    assert oracles.coroot_pairing(a2s, a1) == -1
+    assert oracles.coroot_pairing(a1, a1) == 2
 
 
 def test_reflection_geometry():
     a2 = build_root_system("A", 2)
     a1, a2s = a2.simple
-    assert reflect(a1, a1) == tuple(-c for c in a1)
+    assert oracles.reflect(a1, a1) == tuple(-c for c in a1)
     # reflecting a simple root in the other one lands on the third positive root
-    assert reflect(a1, a2s) == tuple(x + y for x, y in zip(a1, a2s))
-    # reflections preserve length
+    assert oracles.reflect(a1, a2s) == tuple(x + y for x, y in zip(a1, a2s))
+    # reflections preserve length and map the built roots onto themselves
     for alpha in a2.roots:
-        img = reflect(a1, alpha)
+        img = oracles.reflect(a1, alpha)
         assert sum(c * c for c in img) == sum(c * c for c in a1)
+        assert {oracles.reflect(beta, alpha) for beta in a2.roots} == a2.roots
 
 
 def test_c2_long_and_short():
@@ -84,7 +92,7 @@ def _weyl_orbit(lam, rs):
     while queue:
         v = queue.pop()
         for alpha in rs.simple:
-            w = reflect(v, alpha)
+            w = oracles.reflect(v, alpha)
             if w not in orbit:
                 orbit.add(w)
                 queue.append(w)
@@ -123,7 +131,7 @@ def test_classification_witness_profile():
     wits = classification_check(a2, pi)
     assert wits
     for alpha in wits:
-        profile = sorted(reflection_number(w, alpha) for w in pi)
+        profile = sorted(oracles.coroot_pairing(w, alpha) for w in pi)
         assert profile == [-1, 0, 1]
 
 
@@ -134,12 +142,12 @@ def test_classification_check_adjoint_fails():
 
 
 def test_supported_systems_inventory():
-    names = [rs.name for rs in supported_systems(3)]
+    names = [_name(rs) for rs in supported_systems(3)]
     assert names == ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3"]
 
 
 def test_scan_pass_set_is_frozen():
-    scan = classification_scan(3)
+    scan = _scan(3)
     passed = {key for key, wits in scan.items() if wits}
     assert passed == {
         ("A", 1, 1),
@@ -158,7 +166,7 @@ def test_scan_pass_set_is_frozen():
 
 
 def test_scan_witness_counts():
-    scan = classification_scan(2)
+    scan = _scan(2)
     # the standard A2 representation is witnessed by every root
     assert len(scan[("A", 2, 1)]) == 6
     assert len(scan[("C", 2, 1)]) == 4  # exactly the long roots
@@ -239,13 +247,13 @@ def test_validate_rejects_a_system_not_closed_under_reflections():
         _validate(replace(a2, roots=kept))
     assert str(exc.value) in {f"reflection of {beta} in {alpha} leaves the system"
                               for beta in kept for alpha in kept
-                              if reflect(beta, alpha) not in kept}
+                              if oracles.reflect(beta, alpha) not in kept}
 
 
 def test_saturate_rejects_a_point_off_the_weight_lattice():
     a2 = build_root_system("A", 2)
     lam = (F(1, 3), F(0), F(-1, 3))
-    assert reflection_number(lam, (1, 0, -1)) == F(2, 3)
+    assert oracles.coroot_pairing(lam, (1, 0, -1)) == F(2, 3)
     with pytest.raises(InputError) as exc:
         saturate([lam], a2)
     assert str(exc.value) == f"{lam} is not in the weight lattice"
@@ -260,7 +268,7 @@ def test_is_minuscule_rejects_a_weight_that_is_not_dominant():
 
 # -- differential check against the Fraction oracle ---------------------------
 
-SYSTEMS = {rs.name: rs for rs in supported_systems(4)}
+SYSTEMS = {_name(rs): rs for rs in supported_systems(4)}
 # saturations grow fast (B4 at 2 rho holds 30,249 weights), so the oracle
 # stops at this many weights and a larger one is compared root by root only
 SATURATION_LIMIT = 100
@@ -270,14 +278,13 @@ SATURATION_LIMIT = 100
 @settings(max_examples=8)
 @given(data=st.data())
 def test_kernel_matches_the_fraction_oracle(name, data):
-    """reflection_number and is_minuscule on lam = sum c_i omega_i with
-    0 <= c_i <= 2, and saturate and classification_check on its saturation."""
+    """is_minuscule on lam = sum c_i omega_i with 0 <= c_i <= 2, and
+    saturate and classification_check on its saturation."""
     rs = SYSTEMS[name]
     cs = data.draw(st.lists(st.integers(0, 2), min_size=rs.rank, max_size=rs.rank))
     lam = tuple(sum(c * w[k] for c, w in zip(cs, rs.fundamental))
                 for k in range(rs.ambient))
     pairings = [oracles.coroot_pairing(lam, alpha) for alpha in rs.roots]
-    assert [reflection_number(lam, alpha) for alpha in rs.roots] == pairings
     assert is_minuscule(lam, rs) == all(p in (-1, 0, 1) for p in pairings)
     pi = oracles.root_string_closure([lam], rs.roots, SATURATION_LIMIT)
     event("saturation over the limit" if pi is None else "saturation compared")

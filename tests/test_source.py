@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -76,3 +77,64 @@ print(missing)
     out = subprocess.run([sys.executable, "-c", code, str(tracing)], capture_output=True,
                          text=True, env=env, timeout=120, check=True).stdout
     assert out.strip() == "[]"
+
+
+# Library names that nothing in src/ or perfbench/ names yet, with the reason:
+# ROADMAP item 6 moves the numpy make_flow into the tests, once FlowSpec("g", n)
+# is the one definition of the flow exponents (make_flow's signature is what
+# names FlowSpec now). `main` needs no entry: latflow/__main__.py calls it.
+UNREFERENCED_ALLOWED = {"make_flow"}
+
+
+def _names(tree, strings=False):
+    """(line, name, may name a method) for every name a module reads: Name
+    and attribute references, names imported from a module, and with
+    `strings` every word of a string literal, as perfbench/tracing.py names
+    what it wraps in strings."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id, False
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr, True
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.lineno, alias.name, False) for alias in node.names)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from ((node.lineno, word, True) for word in re.findall(r"\w+", node.value))
+
+
+def _unreferenced_definitions():
+    """Functions, methods and classes of src/latflow that no other code in
+    src/ or perfbench/*.py names. An import in an __init__ (a re-export) does
+    not count, nor a name read only inside its own definition; a method
+    counts only when named as an attribute or in a string, so that a
+    variable of the same name does not keep it."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    refs, defs = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        refs += [(path, line, name, attr) for line, name, attr in _names(tree)
+                 if path.name != "__init__.py" or attr]
+        methods = {id(child) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for child in node.body}
+        defs += [(path, node, id(node) in methods) for node in ast.walk(tree)
+                 if isinstance(node, kinds)]
+    for path in sorted((SRC.parent.parent / "perfbench").glob("*.py")):
+        refs += [(path, line, name, attr)
+                 for line, name, attr in _names(ast.parse(path.read_text()), strings=True)]
+    unnamed = []
+    for path, node, method in defs:
+        name = node.name
+        if (name.startswith("__") and name.endswith("__")) or name in UNREFERENCED_ALLOWED:
+            continue
+        inside = range(node.lineno, node.end_lineno + 1)
+        if not any(ref == name and (attr or not method) and not (where == path and line in inside)
+                   for where, line, ref, attr in refs):
+            unnamed.append(f"{path.relative_to(SRC.parent)}:{node.lineno} {name}")
+    return unnamed
+
+
+def test_every_definition_is_named_by_the_program():
+    """Library code that only tests call is moved into the tests or deleted:
+    each def and class is named by other code in src/ or by the benchmark,
+    is a dunder, or is on the allow-list above with its reason."""
+    assert _unreferenced_definitions() == []
