@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .errors import BudgetError, InputError, InvariantError
 from .exact import ExactMatrix, ExactScalar
-from .flows import Curve, FlowSpec, affine_span, curve_eval, load_curve, make_flow
+from .flows import Curve, FlowSpec, affine_span, curve_eval, load_curve
 from .wedge import WedgeIndex, pfaffian, wedge_matrix, wedge_vector
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "affine_span",
     "curve_eval",
     "load_curve",
-    "make_flow",
     "pfaffian",
     "wedge_matrix",
     "wedge_vector",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -71,7 +72,7 @@ def _co_budget(raw) -> int:
 def _co_float(raw) -> float:
     try:
         return float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"expected a number, got {raw!r}")
 
 
@@ -99,26 +100,22 @@ def _co_float_list(raw) -> List[float]:
     return [_co_float(p) for p in parts]
 
 
-def _scalar_entry(e) -> ExactScalar:
-    if isinstance(e, ExactScalar):
-        return e
-    if isinstance(e, bool):
-        raise InputError(f"bad matrix entry {e!r}")
-    if isinstance(e, (int, float)):
-        return ExactScalar(Fraction(e))
+def _entry(e) -> ExactScalar:
+    """One entry of a matrix, vector or target option, read exactly: an int,
+    a finite float, or a string such as 3/7, 1-2r5 (1 - 2*sqrt(5)) or a
+    decimal literal like 0.4142."""
     if isinstance(e, str):
-        text = e.strip()
         try:
-            return ExactScalar.parse(text)
+            return ExactScalar.parse(e)
         except InputError as exc:
-            # decimal literals like 0.4142 are read exactly
             try:
-                return ExactScalar(Fraction(text))
-            except ValueError:
-                raise InputError(f"cannot parse exact scalar {text!r}")
-            except ZeroDivisionError:
-                raise exc
-    raise InputError(f"bad matrix entry {e!r}")
+                return ExactScalar(Fraction(e))
+            except (ValueError, ZeroDivisionError):
+                raise InputError(f"bad entry {e!r}: {exc}") from None
+    if (isinstance(e, int) and not isinstance(e, bool)
+            or isinstance(e, float) and math.isfinite(e)):
+        return ExactScalar(e)
+    raise InputError(f"bad entry {e!r}: expected an integer, a finite number or a string")
 
 
 def _grid(raw, expected: str):
@@ -135,11 +132,10 @@ def _grid(raw, expected: str):
 
 
 def _co_matrix(raw) -> ExactMatrix:
-    """Rows separated by ';', entries by ','. Entries may be integers,
-    fractions like 3/7, or radical combinations like 1-2r5 (meaning
-    1 - 2*sqrt(5)); config files may also use nested JSON arrays."""
+    """Rows separated by ';', entries by ','; config files may also use
+    nested JSON arrays. Each entry is read by _entry."""
     rows, _ = _grid(raw, "a matrix")
-    return ExactMatrix([[_scalar_entry(e) for e in row] for row in rows])
+    return ExactMatrix([[_entry(e) for e in row] for row in rows])
 
 
 def _target_matrix(raw):
@@ -148,7 +144,8 @@ def _target_matrix(raw):
     Entries written as integers, fractions (3/7) or radical combinations
     (1-2r5) keep the exact path, with its zero-residual certificates; any
     entry carrying a decimal point turns the whole target into a float
-    matrix and the search runs numerically.
+    matrix, each entry the double nearest its exact value, and the search
+    runs numerically.
     """
     grid, _ = _grid(raw, "a matrix")
     numeric = any(
@@ -159,44 +156,22 @@ def _target_matrix(raw):
         return _co_matrix(raw)
     out = []
     for row in grid:
-        frow = []
+        out.append([])
         for e in row:
-            if isinstance(e, bool):
-                raise InputError(f"bad matrix entry {e!r}")
-            if isinstance(e, (int, float)):
-                frow.append(float(e))
-                continue
             try:
-                frow.append(float(Fraction(e)))
+                out[-1].append(float(_entry(e)))
             except OverflowError:
                 raise InputError(f"matrix entry {e!r} is not a finite double")
-            except (ValueError, ZeroDivisionError):
-                try:
-                    frow.append(float(ExactScalar.parse(e)))
-                except InputError:
-                    raise InputError(f"cannot parse matrix entry {e!r}")
-        out.append(frow)
     if any(len(r) != len(out[0]) for r in out):
         raise InputError("ragged target matrix")
     return out
-
-
-def _frac_entry(e) -> Fraction:
-    if isinstance(e, bool):
-        raise InputError(f"bad coordinate {e!r}")
-    try:
-        if isinstance(e, str):
-            return Fraction(e.strip())
-        return Fraction(e)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise InputError(f"bad coordinate {e!r}")
 
 
 def _co_frac_rows(raw):
     """Vector or matrix of exact rationals. Returns a flat list for vector
     input and a list of rows when ';' (or nesting) splits it into rows."""
     grid, nested = _grid(raw, "a vector or matrix")
-    rows = [[_frac_entry(e) for e in row] for row in grid]
+    rows = [[_entry(e).as_fraction() for e in row] for row in grid]
     return rows if nested else rows[0]
 
 
@@ -419,7 +394,8 @@ DIOPH_PROBE_OPTS = [
     Opt("qmax", _co_int, "largest sup norm of q searched", required=True),
     Opt("target", _co_target, "W (fixed constant) or Wprime (arbitrarily small)",
         default="W"),
-    Opt("c", _co_float, "constant for the W inequality", default=1.0),
+    Opt("c", _co_float, "constant for the W inequality (W only; Wprime "
+        "ignores it)", default=1.0),
     _BUDGET,
     _OUT,
 ]

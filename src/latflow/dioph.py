@@ -304,9 +304,7 @@ def rational_certificate(a) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]
         return None
     m, ell = exact.nrows, exact.ncols
     denoms = [exact.rows[i][0].as_fraction().denominator for i in range(m)]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // math.gcd(lcm, d)
+    lcm = math.lcm(*denoms)
     q = [lcm] + [0] * (ell - 1)
     p = [-(exact.rows[i][0].as_fraction() * lcm) for i in range(m)]
     assert all(x.denominator == 1 for x in p)
@@ -391,7 +389,8 @@ def w_probe(
     solutions). Otherwise: W_r evidence-member needs at least 3 successive
     minima with quality below c; W'_r evidence-member needs the tail qualities
     to collapse relative to the head. Nonmember evidence is the mirrored
-    failure; anything else is inconclusive.
+    failure; anything else is inconclusive. c is checked for both targets but
+    read for W only: the W'_r verdict does not depend on it.
     """
     if target not in ("W", "Wprime"):
         raise InputError(f"unknown probe target {target!r}")

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import InputError
 from .exact import ExactMatrix, ExactScalar
 
@@ -61,11 +59,6 @@ class FlowSpec:
             + [Fraction(-n, d)] * (d - 1)
             + [Fraction(0)] * (n - d)
         )
-
-
-def make_flow(spec: FlowSpec, t: float) -> np.ndarray:
-    """Float diagonal matrix of the flow at time t."""
-    return np.diag([float(np.exp(float(e) * t)) for e in spec.exponents()])
 
 
 def g_of_A(a: ExactMatrix, n: int) -> ExactMatrix:

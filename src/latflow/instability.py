@@ -57,9 +57,9 @@ def weight_support(v: Sequence, rep, n: int) -> frozenset:
                 out.add(tuple(w))
         return frozenset(out)
     if rep == "adjoint":
-        rows = [[ExactScalar.coerce(x) for x in row] for row in v]
-        if len(rows) != n or any(len(r) != n for r in rows):
+        if len(v) != n or any(not isinstance(r, (list, tuple)) or len(r) != n for r in v):
             raise InputError(f"adjoint rep of SL_{n} needs an {n}x{n} matrix")
+        rows = [[ExactScalar.coerce(x) for x in row] for row in v]
         out = set()
         for i in range(n):
             for j in range(n):
@@ -206,13 +206,9 @@ def kempf_optimum(v: Sequence, rep, n: int) -> KempfResult:
     b2 = _dot(h, h)
     if b2 == 0:
         return KempfResult(unstable=False, b2=Fraction(0), lam_star=None, m_star=None)
-    scale_lcm = 1
-    for c in h:
-        scale_lcm = scale_lcm * c.denominator // math.gcd(scale_lcm, c.denominator)
+    scale_lcm = math.lcm(*(c.denominator for c in h))
     ints = [int(c * scale_lcm) for c in h]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
+    g = math.gcd(*ints)
     lam = tuple(c // g for c in ints)
     m_star = Fraction(m_value(v, lam, rep, n))
     # the optimum is rational in the squares: m(v, lam*)^2 == B^2 * ||lam*||^2

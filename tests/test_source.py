@@ -79,11 +79,9 @@ print(missing)
     assert out.strip() == "[]"
 
 
-# Library names that nothing in src/ or perfbench/ names yet, with the reason:
-# ROADMAP item 6 moves the numpy make_flow into the tests, once FlowSpec("g", n)
-# is the one definition of the flow exponents (make_flow's signature is what
-# names FlowSpec now). `main` needs no entry: latflow/__main__.py calls it.
-UNREFERENCED_ALLOWED = {"make_flow"}
+# Library names that nothing in src/ or perfbench/ names yet, with the reason.
+# `main` needs no entry: latflow/__main__.py calls it.
+UNREFERENCED_ALLOWED = set()
 
 
 def _names(tree, strings=False):
