@@ -418,19 +418,9 @@ def w_probe(
             witnesses=[rec],
             notes="rational target: exact zero-residual certificate",
         )
+    # not all rational, so no record is an exact zero, and qmax >= 1 gives
+    # at least the record of the first shell
     records = best_approximations(a, qmax, budget=budget)
-    if any(rec.exact_zero for rec in records):
-        zero = next(rec for rec in records if rec.exact_zero)
-        return DiophVerdict(
-            kind=CERTIFIED_MEMBER,
-            target=tname,
-            r=r,
-            qmax=qmax,
-            witnesses=[zero],
-            notes="exact zero residual found during enumeration",
-        )
-    if not records:
-        return DiophVerdict(INCONCLUSIVE, tname, r, qmax, [], "no records")
     split = math.sqrt(qmax)
     head = [rec for rec in records if rec.qnorm <= split]
     tail = [rec for rec in records if rec.qnorm > split]

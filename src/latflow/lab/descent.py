@@ -10,11 +10,10 @@ checks Minkowski's bound exactly in integer arithmetic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 from ..errors import InputError, InvariantError
 from ..exact import eliminate
@@ -27,8 +26,6 @@ def _as_int_coords(w: Sequence, size: int) -> List[int]:
     for x in w:
         if hasattr(x, "as_fraction"):
             x = x.as_fraction()
-        elif isinstance(x, np.integer):
-            x = int(x)
         try:
             f = Fraction(x)
         except (TypeError, ValueError):
@@ -111,7 +108,7 @@ def _gram_det(basis: List[List[int]]) -> int:
     return int(det)
 
 
-def descend_to_vector(w: Sequence, n: int, k: int) -> np.ndarray:
+def descend_to_vector(w: Sequence, n: int, k: int) -> Tuple[int, ...]:
     """Shortest nonzero integer vector of [w] intersect Z^n.
 
     Ties (both signs included) go to the lexicographically largest
@@ -120,9 +117,8 @@ def descend_to_vector(w: Sequence, n: int, k: int) -> np.ndarray:
     integers before returning.
     """
     basis = wedge_span_lattice(w, n, k)
-    bf = np.array(basis, dtype=float).T  # columns = basis vectors
-    reduced, z = reduction.lll_with_transform(bf)
-    bound = float(min(np.linalg.norm(reduced, axis=0)))
+    z, reduced = reduction.lll_with_transform(basis)
+    bound = min(math.sqrt(math.fsum(x * x for x in col)) for col in reduced)
     cands = reduction.enumerate_ball(reduced, bound * (1.0 + 1e-9))
     best: Tuple[int, ...] = None
     best_n2 = None
@@ -138,4 +134,4 @@ def descend_to_vector(w: Sequence, n: int, k: int) -> np.ndarray:
     covol2 = _gram_det(basis)
     if best_n2**k > k**k * covol2:
         raise InvariantError("Minkowski bound violated; enumeration is incomplete")
-    return np.array(best, dtype=np.int64)
+    return best

@@ -45,7 +45,7 @@ from . import reduction
 _SQRT_BITS = 80
 
 # (z, b) of reduction.reduce_embedded: integer coordinates and float columns
-Reduced = Tuple[List[List[int]], np.ndarray]
+Reduced = Tuple[List[List[int]], reduction.Columns]
 
 
 def _head_form(phi: Sequence[ExactScalar]) -> Tuple[List[int], int]:

@@ -10,15 +10,14 @@ at large t) can pass a refresh callback that recomputes a column's floats
 from its integer coordinates with exact arithmetic, so rounding never
 accumulates across column operations.
 
-The inner loops run on Python lists of floats: the lattices have 2 to 8
-dimensions, where a numpy call costs more than the arithmetic it does.
-Every inner product and every enumeration center is math.fsum of the
-products, which is correctly rounded, so the pivots depend neither on the
-BLAS build nor on an order of summation.  numpy appears only at the
-boundaries: the basis given to lll_with_transform and enumerate_ball, and
-the reduced matrix b that lll_with_transform and reduce_embedded return.
-gram_schmidt is the one Gram-Schmidt routine; LLL and the enumeration both
-call it.
+A basis is a list of float columns, in and out of every function here,
+and every loop runs on Python lists: the lattices have 2 to 8 dimensions,
+where an array call costs more than the arithmetic it does.  Every inner
+product, every enumeration center and every column that
+lll_with_transform embeds is math.fsum of the products, which is
+correctly rounded, so the pivots depend neither on the BLAS build nor on
+an order of summation.  gram_schmidt is the one Gram-Schmidt routine; LLL
+and the enumeration both call it.
 
 LLL keeps the Gram-Schmidt rows (b*, mu, |b*|^2) across sweeps, valid for
 rows 0..valid-1.  Row i reads only columns 0..i, so a size reduction of
@@ -46,8 +45,6 @@ from math import fsum
 from operator import mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import BudgetError, InputError, InvariantError
 
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -55,6 +52,7 @@ _LLL_MAX_SWEEPS = 100_000
 _LLL_DELTA = 0.99  # Lovasz constant
 
 Column = Sequence[float]
+Columns = List[List[float]]
 
 
 def _gs_rows(cols: List[Column], bstar: List[List[float]], mu: List[List[float]],
@@ -116,14 +114,14 @@ def _lll_core(
     ncols: int,
     embed: Callable[[List[int]], Column],
     start: Optional[Sequence[Sequence[int]]] = None,
-) -> Tuple[List[List[int]], np.ndarray]:
+) -> Tuple[List[List[int]], Columns]:
     """Run LLL on the lattice spanned by embed(e_0), ..., embed(e_{ncols-1}).
 
-    embed returns a sequence of floats (a list is fastest).  start, if
-    given, is a unimodular transform (ncols integer coordinate vectors) to
-    begin from instead of the identity.  Returns (z, b): z[i] is the integer
-    coordinate vector of reduced column i in terms of the original columns,
-    b the float matrix of embedded reduced columns.
+    embed returns a list of floats.  start, if given, is a unimodular
+    transform (ncols integer coordinate vectors) to begin from instead of
+    the identity.  Returns (z, b): z[i] is the integer coordinate vector of
+    reduced column i in terms of the original columns, b[i] = embed(z[i])
+    its float column.
     """
     if start is None:
         start = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
@@ -163,30 +161,30 @@ def _lll_core(
             cols[k], cols[k - 1] = cols[k - 1], cols[k]
             valid = k - 1
             k = max(k - 1, 1)
-    return z, np.array(cols, dtype=float).T
+    return z, cols
 
 
-def lll_with_transform(basis: np.ndarray) -> Tuple[np.ndarray, List[List[int]]]:
-    """LLL-reduce the columns; returns (reduced, z) with z the list of
-    integer coordinate vectors of the reduced columns."""
-    basis = np.asarray(basis, dtype=float)
-    if basis.ndim != 2:
-        raise InputError("basis must be a matrix")
-    n, m = basis.shape
+def lll_with_transform(cols: Sequence[Column]) -> Tuple[List[List[int]], Columns]:
+    """LLL-reduce the columns; returns (z, b) as _lll_core does, with each
+    reduced column b[i] the fsum of the basis rows times z[i]."""
+    m = len(cols)
+    n = len(cols[0]) if m and isinstance(cols[0], Sequence) else 0
+    if not all(isinstance(col, Sequence) and len(col) == n for col in cols):
+        raise InputError("basis must be a list of columns of one length")
     if m < 1 or m > n:
         raise InputError(f"need 1 <= #columns <= dim, got {m} columns in R^{n}")
-    _check_columns(basis.T.tolist())  # basis @ e_i would spread a NaN or inf
+    _check_columns(cols)  # an embedding would spread a NaN or inf
+    rows = list(zip(*cols))
 
     def embed(zcol: List[int]) -> List[float]:
-        return (basis @ np.array(zcol, dtype=float)).tolist()
+        return [fsum(map(mul, row, zcol)) for row in rows]
 
-    z, b = _lll_core(m, embed)
-    return b, z
+    return _lll_core(m, embed)
 
 
-def _walk(basis: np.ndarray, radius: float, budget: int,
+def _walk(cols: Sequence[Column], radius: float, budget: int,
           leaf: Callable[[List[int]], Optional[float]], box: Optional[float] = None) -> None:
-    """Call leaf(z) for every integer z != 0 with ||basis @ z|| <= radius,
+    """Call leaf(z) for every integer z != 0 with ||sum_i z_i cols[i]|| <= radius,
     one per +/- pair (the highest-index nonzero entry of z is positive); z is
     the walk's own list.  leaf returns the box radius r for the rest of the
     walk (None without a box; r may only shrink).  Two box bounds keep every
@@ -196,10 +194,8 @@ def _walk(basis: np.ndarray, radius: float, budget: int,
     all k, p = sum_{j>=1} z_j b_j.  Both widen the interval ends by 1e-12, as
     the ball test does; callers give r 1e-9 relative to spare for rounding.
     """
-    basis = np.asarray(basis, dtype=float)
     if not (radius >= 0 and math.isfinite(radius * radius)):
         raise InputError(f"radius must be nonnegative with a finite square, got {radius!r}")
-    cols = basis.T.tolist()
     bstar, mu, norms2 = gram_schmidt(cols)
     m = len(norms2)
     # the center at a level is minus the sum of mu[j][level] * z_j over j > level
@@ -246,15 +242,15 @@ def _walk(basis: np.ndarray, radius: float, budget: int,
         zvec[level] = 0
 
     if m:
-        descend(m - 1, radius * radius, False, [0.0] * basis.shape[0])
+        descend(m - 1, radius * radius, False, [0.0] * len(cols[0]))
 
 
 def enumerate_ball(
-    basis: np.ndarray,
+    cols: Sequence[Column],
     radius: float,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> List[List[int]]:
-    """Integer coefficient vectors z != 0 with ||basis @ z|| <= radius,
+    """Integer coefficient vectors z != 0 with ||sum_i z_i cols[i]|| <= radius,
     one representative per +/- pair (the highest-index nonzero entry of z
     is positive).
 
@@ -262,7 +258,7 @@ def enumerate_ball(
     node budget turns that into a BudgetError instead of a hang.
     """
     out: List[List[int]] = []
-    _walk(basis, radius, budget, lambda z: out.append(z.copy()))
+    _walk(cols, radius, budget, lambda z: out.append(z.copy()))
     return out
 
 
@@ -270,7 +266,7 @@ def reduce_embedded(
     embed: Callable[[List[int]], Column],
     ncols: int,
     start: Optional[Sequence[Sequence[int]]] = None,
-) -> Tuple[List[List[int]], np.ndarray]:
+) -> Tuple[List[List[int]], Columns]:
     """LLL on the lattice spanned by embed(e_i), from the identity or from
     the unimodular transform start; see _lll_core.
 
@@ -282,7 +278,7 @@ def reduce_embedded(
 
 
 def sup_first_minimum(
-    b: np.ndarray,
+    b: Sequence[Column],
     sup_of: Callable[[List[int]], float],
     box_radius: float,
     budget: int = DEFAULT_NODE_BUDGET,
@@ -292,7 +288,7 @@ def sup_first_minimum(
 
     b comes from reduce_embedded.  sup_of evaluates the sup norm of the
     lattice vector with coefficients zc in the reduced basis, the columns
-    of b, exactly where it matters (the flow experiments recompute the
+    b[i], exactly where it matters (the flow experiments recompute the
     expanding coordinate without cancellation), so each candidate of the
     enumeration is scored from its coefficients directly.  One walk serves
     both numbers: it keeps the vectors of sup norm at most
@@ -304,7 +300,7 @@ def sup_first_minimum(
     """
     if not box_radius > 0:
         raise InputError("box radius must be positive")
-    top = float(np.abs(b).max(axis=0).min())
+    top = min(max(map(abs, col)) for col in b)
     limit = box_radius + 1e-9
     box = max(top, limit) * (1.0 + 1e-9)
     best = math.inf
@@ -319,12 +315,12 @@ def sup_first_minimum(
             half += 1
         return max(min(best, top), limit) * (1.0 + 1e-9)
 
-    _walk(b, box * math.sqrt(b.shape[0]), budget, leaf, box)
+    _walk(b, box * math.sqrt(len(b[0])), budget, leaf, box)
     return best, 2 * half
 
 
 def box_count_embedded(
-    b: np.ndarray,
+    b: Sequence[Column],
     sup_of: Callable[[List[int]], float],
     box_radius: float,
     budget: int = DEFAULT_NODE_BUDGET,

@@ -3,6 +3,7 @@
 import math
 import re
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -28,16 +29,34 @@ from latflow.lab.reduction import (
 )
 
 
+def _cols(matrix):
+    """The columns of a numpy matrix as lists of floats, the basis format of
+    lab.reduction."""
+    return np.asarray(matrix, dtype=float).T.tolist()
+
+
+def _matrix(cols):
+    """The float matrix whose columns are cols."""
+    return np.array(cols, dtype=float).T
+
+
+def _embedding(basis):
+    """z -> basis @ z with each entry the fsum of a row of basis times z, as
+    lll_with_transform embeds."""
+    rows = np.asarray(basis, dtype=float).tolist()
+    return lambda z: [math.fsum(map(mul, row, z)) for row in rows]
+
+
 def test_lll_identity_fixed():
-    red, z = lll_with_transform(np.eye(3))
-    assert np.allclose(red, np.eye(3))
+    z, red = lll_with_transform(_cols(np.eye(3)))
+    assert np.allclose(_matrix(red), np.eye(3))
     assert z == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_lll_shears_away_huge_entry():
     basis = np.array([[1.0, 0.0], [1e6, 1.0]])
-    red, _ = lll_with_transform(basis)
-    norms = sorted(np.linalg.norm(red, axis=0))
+    _, red = lll_with_transform(_cols(basis))
+    norms = sorted(np.linalg.norm(_matrix(red), axis=0))
     assert norms[0] == pytest.approx(1.0)
     assert norms[1] == pytest.approx(1.0)
 
@@ -50,7 +69,8 @@ def test_lll_preserves_determinant():
         basis = rng.uniform(-3, 3, size=(n, n))
         if abs(np.linalg.det(basis)) < 1e-3:
             continue
-        red, transform = lll_with_transform(basis)
+        transform, red = lll_with_transform(_cols(basis))
+        red = _matrix(red)
         # transform[i] holds the integer coordinates of reduced vector i
         tr = np.asarray(transform, dtype=float).T
         assert abs(abs(np.linalg.det(tr)) - 1.0) < 1e-9
@@ -67,10 +87,11 @@ def _first_minimum(basis):
     """Euclidean first minimum of the columns' lattice by LLL plus ball
     enumeration, with its minimizers as coordinates in the given basis,
     one of each +- pair (the larger tuple)."""
-    reduced, z = lll_with_transform(basis)
+    z, cols = lll_with_transform(_cols(basis))
+    reduced = _matrix(cols)
     bound = float(min(np.linalg.norm(reduced, axis=0)))
     found = []
-    for zc in enumerate_ball(reduced, bound * (1.0 + 1e-9)):
+    for zc in enumerate_ball(cols, bound * (1.0 + 1e-9)):
         coords = tuple(int(x) for x in np.asarray(z).T @ zc)
         pair = max(coords, tuple(-c for c in coords))
         found.append((float(np.linalg.norm(reduced @ zc)), pair))
@@ -116,7 +137,7 @@ def test_shortest_vector_guards():
     # the reduction refuses inputs without a first minimum to search for
     for bad in (np.ones(3), np.ones((2, 3)), np.ones((2, 2)), np.zeros((3, 1))):
         with pytest.raises(InputError):
-            lll_with_transform(bad)
+            lll_with_transform(_cols(bad))
 
 
 def _sup_of(basis, z):
@@ -132,11 +153,7 @@ def _sup_of(basis, z):
 def _box_count(basis, radius):
     """Siegel count of the columns' lattice through the embedded pipeline."""
     basis = np.asarray(basis, dtype=float)
-
-    def embed(m):
-        return basis @ np.asarray(m, dtype=float)
-
-    z, b = reduce_embedded(embed, basis.shape[1])
+    z, b = reduce_embedded(_embedding(basis), basis.shape[1])
     return sup_first_minimum(b, _sup_of(basis, z), radius)[1]
 
 
@@ -184,7 +201,7 @@ def test_sup_first_minimum_matches_dense_scans():
                 continue
             kept += 1
             lam1 = oracles.sup_minimum_naive(basis)
-            z, b = lll_with_transform(basis)[::-1]
+            z, b = lll_with_transform(_cols(basis))
             for radius in (lam1 / 2, lam1, 2 * lam1):
                 got = sup_first_minimum(b, _sup_of(basis, z), radius)
                 assert got == (lam1, oracles.box_count_naive(basis, radius))
@@ -206,17 +223,18 @@ def test_sup_box_walk_matches_dense_scans_on_random_bases(n):
             continue
         kept += 1
         lam1 = oracles.sup_minimum_naive(basis)
-        z, b = lll_with_transform(basis)[::-1]
+        z, b = lll_with_transform(_cols(basis))
         for radius in (lam1 / 2, lam1, lam1 * (2.0 if n < 5 else 1.25)):
             got = sup_first_minimum(b, _sup_of(basis, z), radius)
             assert got == (lam1, oracles.box_count_naive(basis, radius)), (basis, radius)
 
 
 def _ball_points(b, radius):
-    """Every z != 0 (one of each +- pair) with ||b @ z|| <= radius, by a plain
-    Fincke-Pohst descent on the oracle's Gram-Schmidt, with no other bound."""
-    mu, norms2 = oracles.gram_schmidt_full(b)
-    m = b.shape[1]
+    """Every z != 0 (one of each +- pair) with ||sum_i z_i b[i]|| <= radius, by
+    a plain Fincke-Pohst descent on the oracle's Gram-Schmidt, with no other
+    bound."""
+    mu, norms2 = oracles.gram_schmidt_full(_matrix(b))
+    m = len(b)
     found = []
 
     def descend(level, z, remaining):
@@ -288,7 +306,7 @@ def test_sup_box_walk_scores_little_beyond_the_box(monkeypatch):
                                            (-1.0, "-1.0"), (1e200, "1e+200")])
 def test_enumerate_ball_refuses_a_radius_out_of_range(radius, named):
     with pytest.raises(InputError, match=f"got {re.escape(named)}$"):
-        enumerate_ball(np.eye(2), radius)
+        enumerate_ball(_cols(np.eye(2)), radius)
 
 
 @pytest.mark.parametrize("column, named", [([math.nan, 1.0], "nan"),
@@ -296,32 +314,32 @@ def test_enumerate_ball_refuses_a_radius_out_of_range(radius, named):
 def test_a_non_finite_column_is_refused(column, named):
     basis = np.array(column).reshape(2, 1)
     with pytest.raises(InputError, match=f"column 0 = \\[{named}, .*not a finite double"):
-        lll_with_transform(basis)
+        lll_with_transform(_cols(basis))
     with pytest.raises(InputError, match=f"column 1 = \\[{named}, .*not a finite double"):
-        lll_with_transform(np.column_stack([[1.0, 0.0], column]))
+        lll_with_transform(_cols(np.column_stack([[1.0, 0.0], column])))
 
 
 def test_an_overflowing_squared_norm_is_not_called_dependent():
     for call in (lll_with_transform, lambda b: enumerate_ball(b, 1.0)):
         with pytest.raises(InputError, match=r"column 0 = \[1e\+200, 0.0\]: its squared "
                                              r"norm is not a finite double"):
-            call(np.diag([1e200, 1e200]))
+            call(_cols(np.diag([1e200, 1e200])))
     # one finite column and one whose square overflows: the second is named
     with pytest.raises(InputError, match="column 1 = "):
-        lll_with_transform(np.diag([1.0, 1e155]))
+        lll_with_transform(_cols(np.diag([1.0, 1e155])))
 
 
 def test_enumerate_ball_sign_convention():
-    pts = enumerate_ball(np.eye(2), 1.0)
+    pts = enumerate_ball(_cols(np.eye(2)), 1.0)
     assert sorted(tuple(int(c) for c in z) for z in pts) == [(0, 1), (1, 0)]
-    for z in enumerate_ball(np.eye(3), 1.5):
+    for z in enumerate_ball(_cols(np.eye(3)), 1.5):
         nonzero = [int(c) for c in z if c]
         assert nonzero[-1] > 0
 
 
 def test_enumerate_ball_budget():
     with pytest.raises(BudgetError):
-        enumerate_ball(np.eye(4), 40.0, budget=50)
+        enumerate_ball(_cols(np.eye(4)), 40.0, budget=50)
 
 
 def test_embedded_reduction_round_trip():
@@ -333,14 +351,11 @@ def test_embedded_reduction_round_trip():
         basis = rng.uniform(-2, 2, size=(n, n))
         if abs(np.linalg.det(basis)) < 0.3:
             continue
-
-        def embed(zcol, basis=basis):
-            return basis @ np.asarray(zcol, dtype=float)
-
+        embed = _embedding(basis)
         z, b = reduce_embedded(embed, n)
         # column i of b is the embedding of the coordinate row z[i]
         for i in range(n):
-            assert np.allclose(b[:, i], embed(z[i]))
+            assert b[i] == embed(z[i])
         val, _ = sup_first_minimum(b, _sup_of(basis, z), 1e-9)  # a box below every vector
         # dense-scan reference for the sup-norm minimum
         best = math.inf
@@ -385,14 +400,14 @@ def _flow_embed(n, t, s):
     e_head, e_tail = math.exp((n - 1) * t), math.exp(-t)
 
     def embed(z):
-        return np.array([e_head * _head_value(form, z)] + [e_tail * float(c) for c in z[1:]])
+        return [e_head * _head_value(form, z)] + [e_tail * float(c) for c in z[1:]]
 
     return embed
 
 
 def _assert_lll_reduced(b):
-    mu, norms2 = oracles.gram_schmidt_full(b)
-    m = b.shape[1]
+    mu, norms2 = oracles.gram_schmidt_full(_matrix(b))
+    m = len(b)
     for i in range(m):
         for j in range(i):
             assert abs(mu[i, j]) <= 0.5 + 1e-9
@@ -403,7 +418,7 @@ def _assert_lll_reduced(b):
 def _lll_cases():
     rng = np.random.default_rng(74)
     for basis in _random_bases(rng, 120) + _knapsack_bases(rng, 60):
-        yield basis.shape[1], lambda z, basis=basis: basis @ np.asarray(z, dtype=float), basis
+        yield basis.shape[1], _embedding(basis), basis
     for n in (3, 4, 6):
         for t in (0.0, 0.5, 2.0, 4.0, 6.0, 8.0):
             for _ in range(4):
@@ -418,11 +433,11 @@ def test_lll_kernel_matches_full_recompute_oracle_bit_for_bit():
         z_ref, b_ref = oracles.lll_full_recompute(embed, ncols)
         z, b = reduce_embedded(embed, ncols)
         assert z == z_ref
-        assert b.tobytes() == b_ref.tobytes()
+        assert _matrix(b).tobytes() == b_ref.tobytes()
         if basis is not None:
-            red, transform = lll_with_transform(basis)
+            transform, red = lll_with_transform(_cols(basis))
             assert transform == z_ref
-            assert red.tobytes() == b_ref.tobytes()
+            assert _matrix(red).tobytes() == b_ref.tobytes()
 
 
 def test_warm_started_lll_matches_full_recompute_oracle_bit_for_bit():
@@ -438,8 +453,20 @@ def test_warm_started_lll_matches_full_recompute_oracle_bit_for_bit():
                 z_ref, b_ref = oracles.lll_full_recompute(embed, n, start)
                 z, b = reduce_embedded(embed, n, start)
                 assert z == z_ref
-                assert b.tobytes() == b_ref.tobytes()
+                assert _matrix(b).tobytes() == b_ref.tobytes()
                 _assert_lll_reduced(b)
+
+
+def test_lll_with_transform_embeds_by_fsum_bit_for_bit():
+    """Each reduced column is the correctly rounded sum of the basis rows
+    times its integer coordinates, whatever order a BLAS build would sum
+    them in; skewed columns and the knapsack lattices' huge rows make the
+    order show in the last bits."""
+    rng = np.random.default_rng(79)
+    for basis in _random_bases(rng, 60) + _knapsack_bases(rng, 20):
+        z, b = lll_with_transform(_cols(basis))
+        want = [[math.fsum(map(mul, row, zi)) for row in basis.tolist()] for zi in z]
+        assert np.array(b).tobytes() == np.array(want).tobytes()
 
 
 def test_gram_schmidt_matches_the_oracle_bit_for_bit():

@@ -42,6 +42,23 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_lattice_layer_imports_no_numpy():
+    """The reduction and the descent take and return bases as lists of
+    float columns, so they import no numpy."""
+    found = []
+    for name in ("reduction.py", "descent.py"):
+        path = SRC / "lab" / name
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {m}" for m in mods if m.split(".")[0] == "numpy"]
+    assert found == []
+
+
 def test_cli_import_leaves_sympy_off_the_path():
     """Heavy symbolic dependencies stay out of every command's start-up."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
