@@ -562,7 +562,7 @@ ROOTS_CHECK_OPTS = [
 
 
 def _check_report(rs, i0: int, pi, witnesses, minuscule: bool) -> dict:
-    fmt = lambda w: [str(c) for c in w]
+    fmt = rs.write_out
     return {
         "family": rs.family,
         "rank": rs.rank,

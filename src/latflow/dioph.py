@@ -483,6 +483,12 @@ class DirichletQuery:
         for t in self.t_grid:
             if not (math.isfinite(t) and t > 1):
                 raise InputError(f"T values must be finite and > 1, got {t}")
+            if self.form == "vect":  # the walk's norm bound is T^n
+                try:
+                    t ** len(self.x)
+                except OverflowError:
+                    raise InputError(f"T^n overflows a double at T = {t}, "
+                                     f"n = {len(self.x)}") from None
         for v in self.x:
             if not math.isfinite(v):
                 raise InputError(f"x must be finite, got {v}")

@@ -165,10 +165,7 @@ class KempfResult:
         return math.sqrt(float(self.b2))
 
     def to_json(self) -> dict:
-        blocks = None
-        mask = None
-        if self.lam_star is not None:
-            mask, blocks = parabolic_of(self.lam_star)
+        blocks = parabolic_of(self.lam_star) if self.lam_star is not None else None
         return {
             "unstable": self.unstable,
             "b_squared": [self.b2.numerator, self.b2.denominator],
@@ -218,13 +215,10 @@ def kempf_optimum(v: Sequence, rep, n: int) -> KempfResult:
     return KempfResult(unstable=True, b2=b2, lam_star=lam, m_star=m_star)
 
 
-def parabolic_of(lam: Sequence[int]):
-    """Mask and block partition of the subgroup whose conjugates by the
-    one-parameter subgroup of lam stay bounded: entry (i, j) allowed iff
-    lam_i >= lam_j; blocks are the level sets in order of appearance."""
-    lam = list(lam)
-    n = len(lam)
-    mask = [[lam[i] >= lam[j] for j in range(n)] for i in range(n)]
+def parabolic_of(lam: Sequence[int]) -> List[List[int]]:
+    """Block partition of the subgroup whose conjugates by the one-parameter
+    subgroup of lam stay bounded (entry (i, j) allowed iff lam_i >= lam_j):
+    the level sets of lam, in order of appearance."""
     blocks: List[List[int]] = []
     seen: Dict[int, int] = {}
     for i, value in enumerate(lam):
@@ -233,4 +227,4 @@ def parabolic_of(lam: Sequence[int]):
         else:
             seen[value] = len(blocks)
             blocks.append([i])
-    return mask, blocks
+    return blocks

@@ -3,9 +3,13 @@
 Everything is exhaustive and exact: roots live in the standard coordinate
 embeddings (type A inside the sum-zero hyperplane of R^(r+1)), and the
 construction validates the defining axioms rather than trusting the tables.
-Pairings run in integers: the vectors involved are scaled to one common
-denominator, which leaves every pairing unchanged, and `Fraction` appears
-only in what the functions take and return.
+Every vector of a system is a tuple of integers over the system's one
+denominator `scale`, the lcm of the denominators of its roots and
+fundamental weights: rank + 1 for A, 2 for B and D, 1 for C. A common scale
+leaves every pairing unchanged, so all the arithmetic runs in integers, and
+the functions below take and return vectors at that scale.
+`RootSystem.write_out` is the one place a vector becomes rational
+coordinates again.
 """
 
 from __future__ import annotations
@@ -18,16 +22,10 @@ from operator import mul
 from typing import FrozenSet, List, Sequence, Tuple
 
 from .errors import InputError, InvariantError
-from .exact import eliminate
 
-Vec = Tuple[Fraction, ...]
 IVec = Tuple[int, ...]
 
 MAX_RANK = 4
-
-
-def _vec(xs: Sequence) -> Vec:
-    return tuple(Fraction(x) for x in xs)
 
 
 def _add(u: Sequence, v: Sequence) -> tuple:
@@ -45,20 +43,6 @@ def _smul(c, v: Sequence) -> tuple:
 # -- the integer pairing kernel -----------------------------------------------
 
 
-def _integral(*groups: Sequence[Sequence]) -> Tuple[int, List[List[IVec]]]:
-    """Scale every vector of every group by d, the lcm of all their coordinate
-    denominators. Pairings and membership are unchanged by a common scale, and
-    every scaled coordinate is an integer."""
-    fracs = [[_vec(v) for v in g] for g in groups]
-    d = math.lcm(*(x.denominator for g in fracs for v in g for x in v))
-    return d, [[tuple(x.numerator * (d // x.denominator) for x in v) for v in g]
-               for g in fracs]
-
-
-def _unscale(v: IVec, d: int) -> Vec:
-    return tuple(Fraction(x, d) for x in v)
-
-
 def _dot(u: IVec, v: IVec) -> int:
     return sum(map(mul, u, v))
 
@@ -70,7 +54,7 @@ def _norm(a: IVec) -> int:
     return aa
 
 
-def _axes(alphas: List[IVec]) -> List[Tuple[IVec, int]]:
+def _axes(alphas: Sequence[IVec]) -> List[Tuple[IVec, int]]:
     return [(a, _norm(a)) for a in alphas]
 
 
@@ -86,19 +70,23 @@ class RootSystem:
     family: str
     rank: int
     ambient: int
-    roots: FrozenSet[Vec]
-    simple: Tuple[Vec, ...]
-    fundamental: Tuple[Vec, ...]
+    scale: int
+    roots: FrozenSet[IVec]
+    simple: Tuple[IVec, ...]
+    fundamental: Tuple[IVec, ...]
+
+    def write_out(self, v: Sequence) -> List[str]:
+        """The rational coordinates of v, a vector at this system's scale."""
+        return [str(Fraction(x, self.scale)) for x in v]
 
     def to_json(self) -> dict:
-        fmt = lambda v: [str(c) for c in v]
         return {
             "family": self.family,
             "rank": self.rank,
             "ambient": self.ambient,
-            "roots": sorted(fmt(r) for r in self.roots),
-            "simple_roots": [fmt(r) for r in self.simple],
-            "fundamental_weights": [fmt(w) for w in self.fundamental],
+            "roots": sorted(map(self.write_out, self.roots)),
+            "simple_roots": list(map(self.write_out, self.simple)),
+            "fundamental_weights": list(map(self.write_out, self.fundamental)),
         }
 
 
@@ -117,14 +105,14 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     if family not in ("A", "B", "C", "D"):
         raise InputError(f"unknown family {family!r} (A, B, C, D supported)")
     ambient = rank + 1 if family == "A" else rank
-    e = [tuple(int(k == i) for k in range(ambient)) for i in range(ambient)]
-    head = [tuple(int(k <= i) for k in range(ambient)) for i in range(ambient)]  # e_0+..+e_i
-    half = tuple(Fraction(1, 2) for _ in range(ambient))
+    scale = {"A": ambient, "B": 2, "C": 1, "D": 2}[family]
+    e = [tuple(scale * (k == i) for k in range(ambient)) for i in range(ambient)]
+    head = [tuple(scale * (k <= i) for k in range(ambient)) for i in range(ambient)]  # e_0+..+e_i
+    half = (scale // 2,) * ambient  # (1/2, ..., 1/2) for B and D
     simple = [_sub(e[i], e[i + 1]) for i in range(ambient - 1)]
     if family == "A":
         roots = [_sub(e[i], e[j]) for i in range(ambient) for j in range(ambient) if i != j]
-        fundamental = [tuple(x - Fraction(i + 1, ambient) for x in head[i])
-                       for i in range(rank)]
+        fundamental = [tuple(x - (i + 1) for x in head[i]) for i in range(rank)]
     else:
         roots = [_add(_smul(si, e[i]), _smul(sj, e[j])) for i in range(rank)
                  for j in range(i + 1, rank) for si in (1, -1) for sj in (1, -1)]
@@ -132,85 +120,70 @@ def build_root_system(family: str, rank: int) -> RootSystem:
             simple.append(_add(e[rank - 2], e[rank - 1]))
             fundamental = head[:rank - 2] + [_sub(half, e[rank - 1]), half]
         else:
-            scale = 1 if family == "B" else 2
-            roots += [_smul(s * scale, e[i]) for i in range(rank) for s in (1, -1)]
-            simple.append(_smul(scale, e[rank - 1]))
+            length = 1 if family == "B" else 2
+            roots += [_smul(s * length, e[i]) for i in range(rank) for s in (1, -1)]
+            simple.append(_smul(length, e[rank - 1]))
             fundamental = head[:rank - 1] + [half if family == "B" else head[rank - 1]]
-    rs = RootSystem(
-        family=family,
-        rank=rank,
-        ambient=ambient,
-        roots=frozenset(map(_vec, roots)),
-        simple=tuple(map(_vec, simple)),
-        fundamental=tuple(map(_vec, fundamental)),
-    )
+    rs = RootSystem(family=family, rank=rank, ambient=ambient, scale=scale,
+                    roots=frozenset(roots), simple=tuple(simple),
+                    fundamental=tuple(fundamental))
     _validate(rs)
     return rs
 
 
 def _validate(rs: RootSystem) -> None:
+    # duality <w_i, a_j> = delta_ij; it also proves the simple roots independent
+    axes = _axes(rs.simple)
+    for i, w in enumerate(rs.fundamental):
+        pair = [_pairing(w, a, aa) for a, aa in axes]
+        if pair != [(1 if j == i else 0, 0) for j in range(rs.rank)]:
+            raise InvariantError(f"fundamental weight {i + 1} fails duality")
     roots = list(rs.roots)
-    _, (ints, simple, fundamental) = _integral(roots, rs.simple, rs.fundamental)
-    members = set(ints)
-    for alpha, a in zip(roots, ints):
+    members = set(roots)
+    for a in roots:
         aa = _dot(a, a)
         if aa == 0:
             raise InvariantError("zero root")
         if tuple(2 * x for x in a) in members:
-            raise InvariantError(f"root multiple 2 present for {alpha}")
+            raise InvariantError(f"root multiple 2 present for {rs.write_out(a)}")
         if all(x % 2 == 0 for x in a) and tuple(x // 2 for x in a) in members:
-            raise InvariantError(f"root multiple 1/2 present for {alpha}")
-        for beta, b in zip(roots, ints):
+            raise InvariantError(f"root multiple 1/2 present for {rs.write_out(a)}")
+        for b in roots:
             num, rem = _pairing(b, a, aa)
             if rem:
-                raise InvariantError(f"non-integral pairing <{beta},{alpha}>")
+                raise InvariantError(
+                    f"non-integral pairing <{rs.write_out(b)},{rs.write_out(a)}>")
             if tuple(x - num * y for x, y in zip(b, a)) not in members:
-                raise InvariantError(f"reflection of {beta} in {alpha} leaves the system")
+                raise InvariantError(f"reflection of {rs.write_out(b)} in "
+                                     f"{rs.write_out(a)} leaves the system")
     # simple roots: integral coefficients of one sign for every root
-    for root, coeffs in zip(roots, _in_simple_basis(rs, roots)):
-        if any(c.denominator != 1 for c in coeffs):
-            raise InvariantError(f"non-integral simple coordinates for {root}")
-        if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
-            raise InvariantError(f"mixed-sign simple coordinates for {root}")
-    for i, w in enumerate(fundamental):
-        pair = [_pairing(w, a, aa) for a, aa in _axes(simple)]
-        if pair != [(1 if j == i else 0, 0) for j in range(rs.rank)]:
-            raise InvariantError(f"fundamental weight {i + 1} fails duality")
+    for root in roots:
+        coeffs = _in_simple_basis(rs, axes, root)
+        if any(rem for _, rem in coeffs):
+            raise InvariantError(f"non-integral simple coordinates for {rs.write_out(root)}")
+        if not (all(c >= 0 for c, _ in coeffs) or all(c <= 0 for c, _ in coeffs)):
+            raise InvariantError(f"mixed-sign simple coordinates for {rs.write_out(root)}")
 
 
-def _in_simple_basis(rs: RootSystem, vs: List[Vec]) -> List[List[Fraction]]:
-    """Coordinates of each v in the simple-root basis, via the Cartan pairings.
-
-    Solves the rank x rank systems <v, a_i> = sum_j c_j <a_j, a_i> exactly,
-    all in one elimination of [Gram | <v, a_i> for every v]. The inner
-    products are taken in integers, over one common denominator.
-    """
-    k = rs.rank
-    _, (simple, ints) = _integral(rs.simple, vs)
-    aug = [[Fraction(_dot(a, b)) for b in simple] + [Fraction(_dot(v, a)) for v in ints]
-           for a in simple]
-    pivots, _ = eliminate(aug, reduced=True)
-    if pivots != list(range(k)):
-        raise InvariantError("degenerate simple-root Gram matrix")
-    columns = list(zip(*simple))
-    out = []
-    for col, (v, scaled) in enumerate(zip(vs, ints), start=k):
-        coeffs = [row[col] for row in aug]
-        # sum_j c_j a_j = v, times the common denominator of the c_j
-        den = math.lcm(*(c.denominator for c in coeffs))
-        whole = [c.numerator * (den // c.denominator) for c in coeffs]
-        if [_dot(whole, x) for x in columns] != [den * x for x in scaled]:
-            raise InputError(f"{v} lies outside the span of the simple roots")
-        out.append(coeffs)
-    return out
+def _in_simple_basis(rs: RootSystem, axes: List[Tuple[IVec, int]],
+                     v: IVec) -> List[Tuple[int, int]]:
+    """Coordinates c_i of v in the simple-root basis, as divmod pairs like
+    `_pairing`'s. Given duality, v = sum c_i a_i forces
+    c_i = 2 (v.w_i) / (a_i.a_i); the sum is checked in integers, times the
+    lcm of the a_i.a_i, so a v outside the span is refused."""
+    nums = [2 * _dot(v, w) for w in rs.fundamental]
+    den = math.lcm(*(aa for _, aa in axes))
+    whole = [n * (den // aa) for n, (_, aa) in zip(nums, axes)]
+    if [_dot(whole, x) for x in zip(*(a for a, _ in axes))] != [den * x for x in v]:
+        raise InputError(f"{rs.write_out(v)} lies outside the span of the simple roots")
+    return [divmod(n, aa) for n, (_, aa) in zip(nums, axes)]
 
 
 def is_dominant(lam: Sequence, rs: RootSystem) -> bool:
-    _, ((v,), simple) = _integral([lam], rs.simple)
-    return all(_pairing(v, a, aa)[0] >= 0 for a, aa in _axes(simple))
+    return all(_pairing(lam, a, aa)[0] >= 0 for a, aa in _axes(rs.simple))
 
 
-def saturate(seed, rs: RootSystem) -> FrozenSet[Vec]:
+def saturate(seed, rs: RootSystem) -> FrozenSet[IVec]:
     """Least superset of the seed closed under root strings: for each weight
     lam and root alpha, all lam - i*alpha for i between 0 and <lam, alpha>.
 
@@ -220,8 +193,8 @@ def saturate(seed, rs: RootSystem) -> FrozenSet[Vec]:
     and for -alpha. So one root of each +-pair is used, and a string keyed by
     (root, m, parity of p) adds only the points beyond the largest |p| seen
     with that key: each point of each line is made once."""
-    d, (roots, queue) = _integral(rs.roots, list({_vec(s) for s in seed}))
-    axes = _axes([a for a in roots if a > tuple(-x for x in a)])
+    queue = list({tuple(s) for s in seed})
+    axes = _axes([a for a in rs.roots if a > tuple(-x for x in a)])
     out = set(queue)
     walked = {}  # (axis, m, parity) -> largest |<lam, alpha>| walked
     while queue:
@@ -229,7 +202,7 @@ def saturate(seed, rs: RootSystem) -> FrozenSet[Vec]:
         for i, (a, aa) in enumerate(axes):
             num, rem = _pairing(lam, a, aa)
             if rem:
-                raise InputError(f"{_unscale(lam, d)} is not in the weight lattice")
+                raise InputError(f"{rs.write_out(lam)} is not in the weight lattice")
             length = abs(num)
             if length == 0:
                 continue
@@ -245,27 +218,24 @@ def saturate(seed, rs: RootSystem) -> FrozenSet[Vec]:
                     if mu not in out:
                         out.add(mu)
                         queue.append(mu)
-    return frozenset(_unscale(mu, d) for mu in out)
+    return frozenset(out)
 
 
 def is_minuscule(lam: Sequence, rs: RootSystem) -> bool:
     """lam pairs to 0, 1 or -1 against every root. Requires lam dominant."""
     if not is_dominant(lam, rs):
         raise InputError("minuscule test requires a dominant weight")
-    _, ((v,), roots) = _integral([lam], rs.roots)
-    return all(_pairing(v, a, aa) in ((-1, 0), (0, 0), (1, 0)) for a, aa in _axes(roots))
+    return all(_pairing(lam, a, aa) in ((-1, 0), (0, 0), (1, 0)) for a, aa in _axes(rs.roots))
 
 
-def classification_check(rs: RootSystem, pi: Sequence[Sequence]) -> List[Vec]:
+def classification_check(rs: RootSystem, pi: Sequence[Sequence]) -> List[IVec]:
     """Roots whose pairing against the weight multiset pi is +1 once, -1 once
     and 0 everywhere else. An empty list means no root has that profile."""
-    order = sorted(rs.roots)
-    _, (roots, weights) = _integral(order, pi)
-    if len(weights) < 2:
+    if len(pi) < 2:
         return []
-    expected = Counter({(1, 0): 1, (-1, 0): 1, (0, 0): len(weights) - 2})
-    return [alpha for alpha, (a, aa) in zip(order, _axes(roots))
-            if Counter(_pairing(w, a, aa) for w in weights) == expected]
+    expected = Counter({(1, 0): 1, (-1, 0): 1, (0, 0): len(pi) - 2})
+    return [a for a, aa in _axes(sorted(rs.roots))
+            if Counter(_pairing(w, a, aa) for w in pi) == expected]
 
 
 def supported_systems(max_rank: int = MAX_RANK) -> List[RootSystem]:
@@ -287,4 +257,3 @@ def minuscule_checks(max_rank: int):
             if is_minuscule(omega, rs):
                 pi = sorted(saturate([omega], rs))
                 yield rs, i, pi, classification_check(rs, pi)
-

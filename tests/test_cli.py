@@ -80,6 +80,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert cli.main([*commands[2], f"--c={c}"]) == 2
         assert capsys.readouterr().err == f"error: c must be finite and > 0, got {float(c)}\n"
     assert cli.main([*commands[2], "--c=0.5"]) == 0
+    capsys.readouterr()
+    # a vect T whose T^n overflows a double: exit 2 naming T and n
+    for x, t, named in (("0.3,0.4", "1e200", "T = 1e+200, n = 2"),
+                        ("0.41,0.73", "2,1e300", "T = 1e+300, n = 2")):
+        assert cli.main(["dirichlet", "--x", x, "--delta", "0.5", "--t", t]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: T^n overflows a double at {named}\n"
+        assert captured.out == ""
 
 
 def test_example_refuses_a_field_with_a_square_factor(capsys):

@@ -177,13 +177,6 @@ def test_kempf_json():
 
 
 def test_parabolic_masks():
-    mask, blocks = parabolic_of((0, 0, 0))
-    assert all(all(row) for row in mask)
-    assert blocks == [[0, 1, 2]]
-    mask, blocks = parabolic_of((1, 1, -1, -1))
-    assert blocks == [[0, 1], [2, 3]]
-    assert mask[0][2] and mask[1][3]  # upper block allowed
-    assert not mask[2][0] and not mask[3][1]  # lower block cut
-    mask, blocks = parabolic_of((3, -1, -1, -1))
-    assert blocks == [[0], [1, 2, 3]]
-    assert mask[0][1] and not mask[1][0]
+    assert parabolic_of((0, 0, 0)) == [[0, 1, 2]]
+    assert parabolic_of((1, 1, -1, -1)) == [[0, 1], [2, 3]]
+    assert parabolic_of((3, -1, -1, -1)) == [[0], [1, 2, 3]]

@@ -50,7 +50,7 @@ def test_rejected_systems():
 def test_simple_root_pairings_a2():
     a2 = build_root_system("A", 2)
     a1, a2s = a2.simple
-    assert sum(c * c for c in a1) == 2
+    assert sum(c * c for c in a1) == 2 * a2.scale ** 2
     assert oracles.coroot_pairing(a1, a2s) == -1
     assert oracles.coroot_pairing(a2s, a1) == -1
     assert oracles.coroot_pairing(a1, a1) == 2
@@ -185,10 +185,13 @@ def test_validation_rejects_bad_simple_roots():
     a2 = build_root_system("A", 2)
     a1, a2s = a2.simple
     both = tuple(x + y for x, y in zip(a1, a2s))
-    # (a1, a1 + a2) is a Z-basis, but a2 = (a1 + a2) - a1 has mixed signs
+    # (a1, a1 + a2) is a Z-basis, but a2 = (a1 + a2) - a1 has mixed signs;
+    # its dual weights are (w1 - w2, w2), so the duality check passes
+    w1, w2 = a2.fundamental
+    dual = (tuple(x - y for x, y in zip(w1, w2)), w2)
     with pytest.raises(InvariantError, match="mixed-sign simple coordinates"):
-        _validate(replace(a2, simple=(a1, both)))
-    with pytest.raises(InvariantError, match="degenerate simple-root Gram matrix"):
+        _validate(replace(a2, simple=(a1, both), fundamental=dual))
+    with pytest.raises(InvariantError, match="fundamental weight 1 fails duality"):
         _validate(replace(a2, simple=(a1, a1)))
     # a single simple root of A2 does not span the other roots
     with pytest.raises(InputError, match="lies outside the span of the simple roots"):
@@ -220,21 +223,21 @@ def test_validate_rejects_root_multiples():
     short, long_ = (a, _scaled(-1, a)), (_scaled(2, a), _scaled(-2, a))
     with pytest.raises(InvariantError) as exc:
         _validate(replace(a1, roots=short + long_))
-    assert str(exc.value) == f"root multiple 2 present for {a}"
+    assert str(exc.value) == f"root multiple 2 present for {a1.write_out(a)}"
     with pytest.raises(InvariantError) as exc:
         _validate(replace(a1, roots=long_ + short))
-    assert str(exc.value) == f"root multiple 1/2 present for {_scaled(2, a)}"
+    assert str(exc.value) == f"root multiple 1/2 present for {a1.write_out(_scaled(2, a))}"
 
 
 def test_validate_rejects_a_non_integral_pairing():
     # B2 with its long roots stretched by 3: closed under reflections, but a
     # short root pairs to +-1/3 with a long one
     b2 = build_root_system("B", 2)
-    short = [r for r in b2.roots if sum(c * c for c in r) == 1]
-    long_ = [_scaled(3, r) for r in b2.roots if sum(c * c for c in r) == 2]
+    short = [r for r in b2.roots if sum(c * c for c in r) == 1 * b2.scale ** 2]
+    long_ = [_scaled(3, r) for r in b2.roots if sum(c * c for c in r) == 2 * b2.scale ** 2]
     with pytest.raises(InvariantError) as exc:
         _validate(replace(b2, roots=frozenset(short + long_)))
-    assert str(exc.value) in {f"non-integral pairing <{beta},{alpha}>"
+    assert str(exc.value) in {f"non-integral pairing <{b2.write_out(beta)},{b2.write_out(alpha)}>"
                               for beta in short for alpha in long_}
 
 
@@ -245,18 +248,19 @@ def test_validate_rejects_a_system_not_closed_under_reflections():
     kept = frozenset([a1, a2s, _scaled(-1, a1), _scaled(-1, a2s)])
     with pytest.raises(InvariantError) as exc:
         _validate(replace(a2, roots=kept))
-    assert str(exc.value) in {f"reflection of {beta} in {alpha} leaves the system"
+    assert str(exc.value) in {f"reflection of {a2.write_out(beta)} in {a2.write_out(alpha)}"
+                              " leaves the system"
                               for beta in kept for alpha in kept
                               if oracles.reflect(beta, alpha) not in kept}
 
 
 def test_saturate_rejects_a_point_off_the_weight_lattice():
     a2 = build_root_system("A", 2)
-    lam = (F(1, 3), F(0), F(-1, 3))
-    assert oracles.coroot_pairing(lam, (1, 0, -1)) == F(2, 3)
+    lam = (1, 0, -1)  # (1/3, 0, -1/3) at the scale 3 of A2
+    assert oracles.coroot_pairing(lam, (3, 0, -3)) == F(2, 3)
     with pytest.raises(InputError) as exc:
         saturate([lam], a2)
-    assert str(exc.value) == f"{lam} is not in the weight lattice"
+    assert str(exc.value) == "['1/3', '0', '-1/3'] is not in the weight lattice"
 
 
 def test_is_minuscule_rejects_a_weight_that_is_not_dominant():

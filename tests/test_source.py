@@ -59,6 +59,32 @@ def test_lattice_layer_imports_no_numpy():
     assert found == []
 
 
+def test_root_systems_name_fraction_only_where_a_vector_is_written_out():
+    """rootsys holds every vector as integers at its system's scale: it
+    imports nothing from latflow.exact, and names Fraction only inside
+    RootSystem.write_out."""
+    tree = ast.parse((SRC / "rootsys.py").read_text())
+    inside = range(0)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "write_out":
+            inside = range(node.lineno, node.end_lineno + 1)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names = [alias.name for alias in node.names]
+            if module in (".exact", "latflow.exact") or (module == "." and "exact" in names):
+                found.append(f"{node.lineno} from {module} import {', '.join(names)}")
+        elif isinstance(node, ast.Import):
+            found += [f"{node.lineno} import {alias.name}" for alias in node.names
+                      if alias.name == "latflow.exact"]
+        elif (isinstance(node, ast.Name) and node.id == "Fraction"
+              or isinstance(node, ast.Attribute) and node.attr == "Fraction"):
+            if node.lineno not in inside:
+                found.append(f"{node.lineno} Fraction")
+    assert found == []
+
+
 def test_cli_import_leaves_sympy_off_the_path():
     """Heavy symbolic dependencies stay out of every command's start-up."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
