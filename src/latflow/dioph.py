@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -52,25 +53,27 @@ def _finite_float(x) -> float:
     return f
 
 
-def _as_float_matrix(a) -> np.ndarray:
+def _read_target(a):
+    """A target as (af, form): af the checked float matrix, and form = (N, L)
+    the integer form of an all-rational target, N = L A with L the lcm of
+    the denominators, so the residual of q is dist(N q, L Z) / L exactly;
+    form is None when an entry is a float or irrational."""
     rows = a.rows if isinstance(a, ExactMatrix) else a
-    arr = np.asarray([[_finite_float(x) for x in row] for row in rows], dtype=float)
-    if arr.ndim != 2:
+    af = np.asarray([[_finite_float(x) for x in row] for row in rows], dtype=float)
+    if af.ndim != 2:
         raise InputError("target must be a matrix (m rows, l columns)")
-    return arr
-
-
-def _as_exact_matrix(a) -> Optional[ExactMatrix]:
     try:
-        if isinstance(a, ExactMatrix):
-            m = a
-        else:
-            m = ExactMatrix([[x for x in row] for row in a])
-    except (InputError, TypeError):
-        return None
-    if all(x.is_rational() for row in m.rows for x in row):
-        return m
-    return None
+        fracs = [[ExactScalar.coerce(x).as_fraction() for x in row] for row in rows]
+    except InputError:
+        return af, None
+    den = math.lcm(*(f.denominator for row in fracs for f in row))
+    return af, ([[int(f * den) for f in row] for row in fracs], den)
+
+
+def _short(n: int) -> str:
+    """n in full below 10^12, else to three digits; float(n) would overflow
+    on the search size of a T near the double range."""
+    return str(n) if n < 10**12 else f"{Decimal(n):.3g}"
 
 
 def best_approximations(
@@ -89,12 +92,16 @@ def best_approximations(
     spliced in at its own shell, so the list always ends with an exact zero
     when one is in range.
     """
-    af = _as_float_matrix(a)
-    m, ell = af.shape
+    af, form = _read_target(a)
+    return _search(af, form, qmax, budget)
+
+
+def _search(af, form, qmax: int, budget: int) -> List[ApproxRecord]:
+    """best_approximations of a target read by _read_target."""
+    ell = af.shape[1]
     if qmax < 1:
         raise InputError("qmax must be >= 1")
-    exact = _as_exact_matrix(a)
-    cert = rational_certificate(a) if exact is not None else None
+    cert = rational_certificate(form)
     walk_to = qmax
     if cert is not None:
         cert_shell = max(abs(c) for c in cert[0])
@@ -104,11 +111,10 @@ def best_approximations(
     # +-q pair in the cube, counted here as the whole cube
     points = walk_to if ell == 1 else (2 * walk_to + 1) ** ell
     if points > budget:
-        raise BudgetError(
-            f"search needs {points} points for qmax={walk_to}, budget={budget}"
-        )
+        raise BudgetError(f"search needs {_short(points)} points for "
+                          f"qmax={_short(walk_to)}, budget={budget}")
     walk = _best_approx_1d if ell == 1 else _shell_walk
-    records = walk(af, exact, walk_to)
+    records = walk(af, form, walk_to)
     if cert is not None and cert_shell <= qmax and not any(
         r.residual == 0.0 for r in records
     ):
@@ -118,9 +124,9 @@ def best_approximations(
     return records
 
 
-def _shell_walk(af, exact, qmax) -> List[ApproxRecord]:
+def _shell_walk(af, form, qmax) -> List[ApproxRecord]:
     ell = af.shape[1]
-    scaled = _scaled_target(exact, qmax, ell)
+    scaled = _scaled_target(form, qmax, ell)
     records: List[ApproxRecord] = []
     best = math.inf
     for h in range(1, qmax + 1):
@@ -160,17 +166,13 @@ def _sign_normalized(q: Sequence[int]) -> Tuple[int, ...]:
     return tuple(q) if first > 0 else tuple(-c for c in q)
 
 
-def _scaled_target(exact, qmax: int, ell: int):
-    """Integer form (N, L) of a rational target, N = L A with L the lcm of the
-    denominators, so the residual of q is dist(N q, L Z) / L exactly; None
-    for a float target. N is int64 while |N q| + L stays below 2^62 for every
-    q up to qmax (and N itself when qmax is 0), and Python ints (object
-    dtype) beyond."""
-    if exact is None:
+def _scaled_target(form, qmax: int, ell: int):
+    """form with N as an array: int64 while |N q| + L stays below 2^62 for
+    every q up to qmax (and N itself when qmax is 0), and Python ints
+    (object dtype) beyond; None for a float target."""
+    if form is None:
         return None
-    fracs = [[x.as_fraction() for x in row] for row in exact.rows]
-    den = math.lcm(*(f.denominator for row in fracs for f in row))
-    nums = [[int(f * den) for f in row] for row in fracs]
+    nums, den = form
     bound = den + max(abs(v) for row in nums for v in row) * max(qmax, 1) * ell
     return np.array(nums, dtype=np.int64 if bound < 2**62 else object), den
 
@@ -201,8 +203,8 @@ def _nearest_p(q: Tuple[int, ...], af: np.ndarray, scaled) -> Tuple[int, ...]:
     )
 
 
-def _best_approx_1d(af, exact, qmax) -> List[ApproxRecord]:
-    scaled = _scaled_target(exact, qmax, 1)
+def _best_approx_1d(af, form, qmax) -> List[ApproxRecord]:
+    scaled = _scaled_target(form, qmax, 1)
     records: List[ApproxRecord] = []
     best = math.inf
     chunk = 1 << 20
@@ -296,19 +298,16 @@ def exponent_estimate(a, qmax: int, budget: int = DEFAULT_ENUM_BUDGET):
     return exponent_fit(best_approximations(a, qmax, budget=budget))
 
 
-def rational_certificate(a) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """For rational A: integer (q, p) with A q + p = 0 by clearing denominators
-    of the first column. Returns None when A has an irrational entry."""
-    exact = _as_exact_matrix(a)
-    if exact is None:
+def rational_certificate(form) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """For the integer form (N, L) of a rational A (from _read_target):
+    integer (q, p) with A q + p = 0, q = q0 e_1 with q0 = L / gcd(L, column 0
+    of N), the lcm of the denominators of A's first column. None for a
+    target with a float or irrational entry (form None)."""
+    if form is None:
         return None
-    m, ell = exact.nrows, exact.ncols
-    denoms = [exact.rows[i][0].as_fraction().denominator for i in range(m)]
-    lcm = math.lcm(*denoms)
-    q = [lcm] + [0] * (ell - 1)
-    p = [-(exact.rows[i][0].as_fraction() * lcm) for i in range(m)]
-    assert all(x.denominator == 1 for x in p)
-    return tuple(q), tuple(int(x) for x in p)
+    nums, den = form
+    g = math.gcd(den, *(row[0] for row in nums))
+    return (den // g,) + (0,) * (len(nums[0]) - 1), tuple(-(row[0] // g) for row in nums)
 
 
 def a_ext(a: ExactMatrix) -> ExactMatrix:
@@ -400,7 +399,8 @@ def w_probe(
         raise InputError(f"c must be finite and > 0, got {c}")
     check_exponent(r, qmax)
     tname = "W_r" if target == "W" else "W'_r"
-    cert = rational_certificate(a)
+    af, form = _read_target(a)
+    cert = rational_certificate(form)
     if cert is not None:
         q, p = cert
         rec = ApproxRecord(
@@ -420,7 +420,7 @@ def w_probe(
         )
     # not all rational, so no record is an exact zero, and qmax >= 1 gives
     # at least the record of the first shell
-    records = best_approximations(a, qmax, budget=budget)
+    records = _search(af, None, qmax, budget)
     split = math.sqrt(qmax)
     head = [rec for rec in records if rec.qnorm <= split]
     tail = [rec for rec in records if rec.qnorm > split]
@@ -459,41 +459,6 @@ def w_probe(
 # -- Dirichlet-type systems ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DirichletQuery:
-    """One improvability probe: x in R^n, a delta in (0,1], and a grid of
-    thresholds T. form 'vect' is the simultaneous system (scalar q, vector p);
-    'lf' is the dual linear-form system (vector q, scalar p)."""
-
-    x: Tuple[float, ...]
-    form: str
-    delta: float
-    t_grid: Tuple[float, ...]
-    budget: int = DEFAULT_ENUM_BUDGET
-
-    def __post_init__(self):
-        if self.form not in ("vect", "lf"):
-            raise InputError(f"unknown Dirichlet form {self.form!r}")
-        if not 0 < self.delta <= 1:
-            raise InputError("delta must lie in (0, 1]")
-        if not self.t_grid:
-            raise InputError("empty T grid")
-        if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
-            raise InputError("T grid must be strictly increasing")
-        for t in self.t_grid:
-            if not (math.isfinite(t) and t > 1):
-                raise InputError(f"T values must be finite and > 1, got {t}")
-            if self.form == "vect":  # the walk's norm bound is T^n
-                try:
-                    t ** len(self.x)
-                except OverflowError:
-                    raise InputError(f"T^n overflows a double at T = {t}, "
-                                     f"n = {len(self.x)}") from None
-        for v in self.x:
-            if not math.isfinite(v):
-                raise InputError(f"x must be finite, got {v}")
-
-
 @dataclass
 class DirichletRow:
     t: float
@@ -505,7 +470,13 @@ class DirichletRow:
 
 @dataclass
 class DirichletReport:
-    query: DirichletQuery
+    """One improvability probe: x in R^n, a delta in (0,1], and a row for
+    each threshold T. form 'vect' is the simultaneous system (scalar q,
+    vector p); 'lf' is the dual linear-form system (vector q, scalar p)."""
+
+    x: Tuple[float, ...]
+    form: str
+    delta: float
     rows: List[DirichletRow]
     tail_solvable: bool
 
@@ -515,9 +486,9 @@ class DirichletReport:
 
     def to_json(self) -> dict:
         return {
-            "x": list(self.query.x),
-            "form": self.query.form,
-            "delta": self.query.delta,
+            "x": list(self.x),
+            "form": self.form,
+            "delta": self.delta,
             "rows": [
                 {
                     "T": row.t,
@@ -532,31 +503,52 @@ class DirichletReport:
         }
 
 
-def _dirichlet_reports(queries: Sequence[DirichletQuery]) -> List[DirichletReport]:
-    """Solvability of queries that differ in delta alone, at each T, all
-    read from one best-approximation walk to the largest T of the first:
-    'vect' walks the column x, 'lf' the row x, and the walk does not read
-    delta. The smallest solution at T is the first record within T's norm
-    bound whose residual meets T's threshold, so a row depends on no other
-    T. The tail (upper half of the grid by index) stands in for 'all
-    sufficiently large T'."""
-    first = queries[0]
-    n, vect = len(first.x), first.form == "vect"
-    a = [[float(v)] for v in first.x] if vect else [[float(v) for v in first.x]]
+def probe_singular(x, form: str, deltas: Sequence[float], t_grid: Sequence[float],
+                   budget: int = DEFAULT_ENUM_BUDGET):
+    """One report per delta, all read from one best-approximation walk to
+    the largest T: 'vect' walks the column x, 'lf' the row x, and the walk
+    does not read delta. The smallest solution at T is the first record
+    within T's norm bound whose residual meets T's threshold, so a row
+    depends on no other T. The tail (upper half of the grid by index)
+    stands in for 'all sufficiently large T'; singular evidence =
+    improvable at every delta."""
+    x = tuple(float(v) for v in x)
+    deltas = [float(d) for d in deltas]
+    t_grid = [float(t) for t in t_grid]
+    n, vect = len(x), form == "vect"
+    if form not in ("vect", "lf"):
+        raise InputError(f"unknown Dirichlet form {form!r}")
+    if not all(0 < d <= 1 for d in deltas):
+        raise InputError("delta must lie in (0, 1]")
+    if not t_grid:
+        raise InputError("empty T grid")
+    if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
+        raise InputError("T grid must be strictly increasing")
+    for t in t_grid:
+        if not (math.isfinite(t) and t > 1):
+            raise InputError(f"T values must be finite and > 1, got {t}")
+        if vect:  # the walk's norm bound is T^n
+            try:
+                t ** n
+            except OverflowError:
+                raise InputError(f"T^n overflows a double at T = {t}, n = {n}") from None
+    for v in x:
+        if not math.isfinite(v):
+            raise InputError(f"x must be finite, got {v}")
+    a = [[v] for v in x] if vect else [list(x)]
 
     def bound(t):
         return int(math.floor(t**n if vect else t))
 
-    t_max = first.t_grid[-1]
     try:
-        records = best_approximations(a, bound(t_max), budget=first.budget)
+        records = best_approximations(a, bound(t_grid[-1]), budget=budget)
     except BudgetError as exc:
-        raise BudgetError(f"dirichlet {first.form} at T = {t_max:g}: {exc}") from None
+        raise BudgetError(f"dirichlet {form} at T = {t_grid[-1]:g}: {exc}") from None
     reports = []
-    for query in queries:
+    for delta in deltas:
         rows: List[DirichletRow] = []
-        for t in query.t_grid:
-            limit = (query.delta / t if vect else query.delta * t**-n) + 1e-15
+        for t in t_grid:
+            limit = (delta / t if vect else delta * t**-n) + 1e-15
             rec = next((r for r in records if r.qnorm <= bound(t) and r.residual <= limit), None)
             if rec is None:
                 rows.append(DirichletRow(t=t, solvable=False, q=None, p=None, residual=None))
@@ -564,9 +556,8 @@ def _dirichlet_reports(queries: Sequence[DirichletQuery]) -> List[DirichletRepor
             q, p, res = (rec.q, rec.p, rec.residual) if vect else _lf_witness(a, rec, limit)
             rows.append(DirichletRow(t=t, solvable=True, q=q, p=p, residual=res))
         tail = rows[len(rows) // 2:]
-        reports.append(DirichletReport(query=query, rows=rows,
-                                       tail_solvable=all(r.solvable for r in tail)))
-    return reports
+        reports.append(DirichletReport(x, form, delta, rows, all(r.solvable for r in tail)))
+    return reports, all(rep.tail_solvable for rep in reports)
 
 
 def _lf_witness(a, rec: ApproxRecord, limit: float):
@@ -581,16 +572,3 @@ def _lf_witness(a, rec: ApproxRecord, limit: float):
         return rec.q, rec.p, rec.residual
     q, i = min((min(tuple(qs[i].tolist()), tuple((-qs[i]).tolist())), i) for i in hits)
     return q, _nearest_p(q, af, None), float(keys[i])
-
-
-def probe_singular(x, form: str, deltas: Sequence[float], t_grid: Sequence[float],
-                   budget: int = DEFAULT_ENUM_BUDGET):
-    """One query per delta, all from one walk; singular evidence =
-    improvable at every delta."""
-    reports = _dirichlet_reports([
-        DirichletQuery(x=tuple(float(v) for v in x), form=form, delta=float(d),
-                       t_grid=tuple(float(t) for t in t_grid), budget=budget)
-        for d in deltas
-    ]) if deltas else []
-    singular = all(rep.tail_solvable for rep in reports)
-    return reports, singular

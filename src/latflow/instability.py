@@ -29,51 +29,28 @@ def weight_support(v: Sequence, rep, n: int) -> frozenset:
     rep is 'standard' (v: n coordinates), ('wedge', k) (v: C(n,k) coordinates
     in lex order), or 'adjoint' (v: the n rows of an n x n matrix;
     off-diagonal (i,j) has weight e_i - e_j, the diagonal weight is 0).
+    Each rep gives the weight of each coordinate, in order, in one table.
     """
     if rep == "standard":
-        coords = [ExactScalar.coerce(x) for x in v]
-        if len(coords) != n:
-            raise InputError(f"standard rep of SL_{n} needs {n} coordinates")
-        out = set()
-        for i, c in enumerate(coords):
-            if c:
-                w = [0] * n
-                w[i] = 1
-                out.add(tuple(w))
-        return frozenset(out)
-    if isinstance(rep, tuple) and len(rep) == 2 and rep[0] == "wedge":
-        k = rep[1]
-        idx = WedgeIndex(n, k)
-        coords = [ExactScalar.coerce(x) for x in v]
-        if len(coords) != idx.dim:
-            raise InputError(f"wedge({k}) of SL_{n} needs {idx.dim} coordinates")
-        out = set()
-        for pos, c in enumerate(coords):
-            if c:
-                combo = idx.unrank(pos)
-                w = [0] * n
-                for i in combo:
-                    w[i] = 1
-                out.add(tuple(w))
-        return frozenset(out)
-    if rep == "adjoint":
+        weights = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        need = f"standard rep of SL_{n} needs {n} coordinates"
+    elif isinstance(rep, tuple) and len(rep) == 2 and rep[0] == "wedge":
+        idx = WedgeIndex(n, rep[1])
+        weights = [tuple(int(i in combo) for i in range(n)) for combo in idx.subsets]
+        need = f"wedge({rep[1]}) of SL_{n} needs {len(idx)} coordinates"
+    elif rep == "adjoint":
+        need = f"adjoint rep of SL_{n} needs an {n}x{n} matrix"
         if len(v) != n or any(not isinstance(r, (list, tuple)) or len(r) != n for r in v):
-            raise InputError(f"adjoint rep of SL_{n} needs an {n}x{n} matrix")
-        rows = [[ExactScalar.coerce(x) for x in row] for row in v]
-        out = set()
-        for i in range(n):
-            for j in range(n):
-                if not rows[i][j]:
-                    continue
-                if i == j:
-                    out.add((0,) * n)
-                else:
-                    w = [0] * n
-                    w[i] = 1
-                    w[j] = -1
-                    out.add(tuple(w))
-        return frozenset(out)
-    raise InputError(f"unsupported representation {rep!r}")
+            raise InputError(need)
+        v = [x for row in v for x in row]
+        weights = [tuple(int(k == i) - int(k == j) for k in range(n))
+                   for i in range(n) for j in range(n)]
+    else:
+        raise InputError(f"unsupported representation {rep!r}")
+    coords = [ExactScalar.coerce(x) for x in v]
+    if len(coords) != len(weights):
+        raise InputError(need)
+    return frozenset(w for w, c in zip(weights, coords) if c)
 
 
 def m_value(v: Sequence, lam: Sequence[int], rep, n: int) -> int:

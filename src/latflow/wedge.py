@@ -27,10 +27,6 @@ class WedgeIndex:
     def __len__(self) -> int:
         return len(self.subsets)
 
-    @property
-    def dim(self) -> int:
-        return len(self.subsets)
-
     def rank(self, subset: Sequence[int]) -> int:
         key = tuple(sorted(subset))
         if key not in self._rank:

@@ -138,6 +138,21 @@ def test_budget_exhaustion_exits_3(tmp_path):
     assert "node budget (5)" in res.stderr
 
 
+@pytest.mark.parametrize("argv, size", [
+    (["dirichlet", "--x", "0.41,0.73", "--form", "lf", "--delta", "1", "--t", "2,1e300"],
+     "dirichlet lf at T = 1e+300: search needs 4.00e+600 points for qmax=1.00e+300"),
+    (["dioph", "approx", "--a", "0.41,0.73", "--qmax", "100000000000000000000"],
+     "search needs 4.00e+40 points for qmax=1.00e+20"),
+])
+def test_budget_error_gives_the_search_size_in_short(argv, size, capsys):
+    """A search far beyond the budget exits 3 on one short line naming the
+    budget, not with the hundreds of digits of its point count."""
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {size}, budget={dioph.DEFAULT_ENUM_BUDGET}\n"
+    assert len(err.encode()) < 200
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 4, "a": "1,2;3,4", "radiu": 1.0}))

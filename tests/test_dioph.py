@@ -14,7 +14,6 @@ from latflow.dioph import (
     EVIDENCE_NONMEMBER,
     INCONCLUSIVE,
     ApproxRecord,
-    DirichletQuery,
     a_ext,
     best_approximations,
     exponent_estimate,
@@ -27,6 +26,11 @@ from latflow.errors import BudgetError, InputError
 from latflow.exact import ExactMatrix
 
 SQRT2M1 = math.sqrt(2) - 1
+
+
+def _certificate(a):
+    """The zero certificate of a target, from its integer form."""
+    return rational_certificate(dioph._read_target(a)[1])
 
 
 def _dirichlet(x, form, delta, grid):
@@ -78,10 +82,12 @@ def test_minima_monotone():
 
 
 def test_float_records_match_naive_scan():
-    """Float targets: the batched shell walk finds the whole-cube scan's
-    records (same q and p; residuals up to float summation order)."""
+    """Float targets: the batched shell walk and the chunked one-column scan
+    (the walk of `dirichlet --form vect`) find the whole-cube scan's records
+    (same q and p; residuals up to float summation order)."""
     rng = np.random.default_rng(57)
-    for ell, m, qmax in ((2, 1, 15), (2, 2, 15), (3, 1, 6), (3, 2, 6)):
+    for ell, m, qmax in ((2, 1, 15), (2, 2, 15), (3, 1, 6), (3, 2, 6),
+                         (1, 1, 3000), (1, 2, 3000), (1, 3, 3000)):
         for _ in range(6):
             a = rng.uniform(-1, 1, size=(m, ell)).tolist()
             got = best_approximations(a, qmax)
@@ -98,7 +104,7 @@ def _check_rational_records(a, qmax):
     recs = best_approximations(ExactMatrix(a), qmax)
     want = oracles.best_approximations_naive(a, qmax)
     got = recs
-    if recs and recs[-1].q == rational_certificate(ExactMatrix(a))[0]:
+    if recs and recs[-1].q == _certificate(a)[0]:
         assert recs[-1].exact_zero and want[-1][0] == recs[-1].qnorm and want[-1][3] == 0
         got, want = recs[:-1], want[:-1]
     assert [(r.qnorm, r.q, r.p, r.residual) for r in got] == [
@@ -220,12 +226,12 @@ def test_exponent_needs_range():
 
 
 def test_rational_certificates():
-    assert rational_certificate(ExactMatrix([[Fraction(1, 2)], [Fraction(1, 3)]])) == (
+    assert _certificate(ExactMatrix([[Fraction(1, 2)], [Fraction(1, 3)]])) == (
         (6,),
         (-3, -2),
     )
-    assert rational_certificate(ExactMatrix([[Fraction(2, 7)]])) == ((7,), (-2,))
-    assert rational_certificate([[SQRT2M1]]) is None
+    assert _certificate(ExactMatrix([[Fraction(2, 7)]])) == ((7,), (-2,))
+    assert _certificate([[SQRT2M1]]) is None
 
 
 def test_certificate_appears_in_walk():
@@ -333,6 +339,15 @@ def test_probe_refuses_an_exponent_that_is_not_finite_or_overflows():
     assert w_probe([[0.41]], r=600.0, qmax=3).r == 600.0
 
 
+@pytest.mark.parametrize("a", [[[SQRT2M1]], ExactMatrix([[Fraction(1, 3)]])])
+def test_w_probe_reads_its_target_once(a, monkeypatch):
+    calls = []
+    read = dioph._read_target
+    monkeypatch.setattr(dioph, "_read_target", lambda t: calls.append(t) or read(t))
+    w_probe(a, r=2.0, qmax=1000)
+    assert len(calls) == 1
+
+
 def test_probe_json_shape():
     v = w_probe([[SQRT2M1]], r=2.0, qmax=1000)
     data = v.to_json()
@@ -436,15 +451,18 @@ def test_dirichlet_shrinks_with_delta():
                 assert row_hi.solvable
 
 
-def test_dirichlet_query_validation():
+def test_probe_singular_validation():
     with pytest.raises(InputError):
-        DirichletQuery((0.5,), "vec", 0.5, (2.0,))
+        probe_singular((0.5,), "vec", [0.5], (2.0,))
     with pytest.raises(InputError):
-        DirichletQuery((0.5,), "vect", 0.0, (2.0,))
+        probe_singular((0.5,), "vect", [0.0], (2.0,))
     with pytest.raises(InputError):
-        DirichletQuery((0.5,), "vect", 0.5, (2.0, 2.0))
+        probe_singular((0.5,), "vect", [0.5], (2.0, 2.0))
     with pytest.raises(InputError):
-        DirichletQuery((0.5,), "vect", 1.5, (2.0,))
+        probe_singular((0.5,), "vect", [1.5], (2.0,))
+    # every delta is checked, not only the first
+    with pytest.raises(InputError, match=r"delta must lie in \(0, 1\]"):
+        probe_singular((0.5,), "vect", [0.5, 1.5], (2.0,))
 
 
 def test_singular_evidence_for_rational_points():

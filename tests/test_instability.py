@@ -1,7 +1,9 @@
 """One-parameter instability: weight supports, exact min-norm points and the
 optimal destabilizing cocharacter, checked against a grid brute force."""
 
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from latflow import cli
 from latflow.errors import InputError, InvariantError
 from latflow.instability import (
     _affine_minimizer,
@@ -48,6 +51,50 @@ def test_weight_support_adjoint():
         weight_support([1, 2, 0, 1], "adjoint", 2)  # flat, not rows
     with pytest.raises(InputError):
         weight_support([1, 0], "spin", 2)
+
+
+def _coordinate_weight(rep, n, pos):
+    """The torus weight of coordinate pos of rep, written out for that
+    coordinate alone (adjoint coordinates run row by row)."""
+    w = [0] * n
+    if rep == "standard":
+        w[pos] = 1
+    elif rep == "adjoint":
+        i, j = divmod(pos, n)
+        w[i] += 1
+        w[j] -= 1
+    else:
+        for i in list(combinations(range(n), rep[1]))[pos]:
+            w[i] = 1
+    return tuple(w)
+
+
+def test_weight_support_matches_each_coordinates_weight():
+    rng = np.random.default_rng(61)
+    for n in range(2, 6):
+        for rep in ["standard", "adjoint"] + [("wedge", k) for k in range(1, n + 1)]:
+            dim = {"standard": n, "adjoint": n * n}.get(rep) or math.comb(n, rep[1])
+            for _ in range(6):
+                flat = [int(c) if rng.random() < 0.3 else 0
+                        for c in rng.integers(-3, 4, size=dim)]
+                v = [flat[i * n:(i + 1) * n] for i in range(n)] if rep == "adjoint" else flat
+                want = {_coordinate_weight(rep, n, pos) for pos, c in enumerate(flat) if c}
+                assert weight_support(v, rep, n) == want, (rep, n, flat)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--v=1,0,0", "--rep", "standard", "--n", "2"], "standard rep of SL_2 needs 2 coordinates"),
+    (["--v=1,0,0", "--rep", "wedge2", "--n", "4"], "wedge(2) of SL_4 needs 6 coordinates"),
+    (["--v=1,0,0,0,0,0,0,0", "--rep", "wedge3", "--n", "4"],
+     "wedge(3) of SL_4 needs 4 coordinates"),
+    (["--v=1,2;3,4;5,6", "--rep", "adjoint", "--n", "2"],
+     "adjoint rep of SL_2 needs an 2x2 matrix"),
+    (["--v=1,2,3;4,5,6", "--rep", "adjoint", "--n", "2"],
+     "adjoint rep of SL_2 needs an 2x2 matrix"),
+])
+def test_kempf_refuses_a_vector_of_the_wrong_size(argv, message, capsys):
+    assert cli.main(["kempf", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_m_value_examples():

@@ -23,7 +23,7 @@ def test_wedge_index_lex_order():
     assert idx.subsets == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     assert idx.rank((3, 1)) == 4  # order inside the tuple does not matter
     assert idx.unrank(5) == (2, 3)
-    assert len(idx) == 6 and idx.dim == 6
+    assert len(idx) == 6
     with pytest.raises(ExactError):
         idx.rank((0, 0))
     with pytest.raises(ExactError):
