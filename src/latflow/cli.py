@@ -90,7 +90,8 @@ def _co_bool(raw) -> bool:
 
 def _co_float_list(raw) -> List[float]:
     if isinstance(raw, str):
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
+        # an empty entry, "2,,4" or "2,", is refused by name as in a matrix
+        parts = raw.split(",") if raw.strip() else []
     elif isinstance(raw, (list, tuple)):
         parts = list(raw)
     else:
@@ -479,7 +480,7 @@ SIM_EXAMPLE_OPTS = [
     Opt("n", _co_int, "ambient dimension (must equal r * m)", required=True),
     Opt("r", _co_int, "rank of the subspace over the field", required=True),
     Opt("m", _co_int, "field degree (only 2 is supported)", default=2),
-    Opt("D", _co_int, "squarefree integer >= 2 defining the field", required=True),
+    Opt("D", _co_int, "squarefree integer in [2, 10^12] defining the field", required=True),
     _OUT,
 ]
 

@@ -35,7 +35,8 @@ class ApproxRecord:
     exact_zero: bool = False
 
     def quality(self, r: float) -> float:
-        return self.residual * self.qnorm**r
+        # an exact zero has quality 0 for every r, however large qnorm**r is
+        return self.residual * self.qnorm**r if self.residual else 0.0
 
 
 def _finite_float(x) -> float:
@@ -518,6 +519,8 @@ def probe_singular(x, form: str, deltas: Sequence[float], t_grid: Sequence[float
     n, vect = len(x), form == "vect"
     if form not in ("vect", "lf"):
         raise InputError(f"unknown Dirichlet form {form!r}")
+    if not deltas:
+        raise InputError("empty delta list")
     if not all(0 < d <= 1 for d in deltas):
         raise InputError("delta must lie in (0, 1]")
     if not t_grid:

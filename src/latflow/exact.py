@@ -22,6 +22,8 @@ from .errors import InputError
 
 RationalLike = Union[int, Fraction]
 
+MAX_RADICAND = 10**12  # _is_squarefree trial-divides up to 10**6 in about 0.1 s
+
 
 class ExactError(InputError):
     """Raised for malformed exact scalars or incompatible field mixes."""
@@ -44,8 +46,9 @@ class ExactScalar:
     """Element (x + y*sqrt(D)) / den of Q or of a real quadratic field
     Q(sqrt(D)), held as Python ints.
 
-    The form is normal: den > 0, gcd(x, y, den) == 1, and D is None exactly
-    when y == 0, so each value has one form and equality compares fields.
+    The form is normal: den > 0, gcd(x, y, den) == 1, D is None exactly
+    when y == 0, and D is squarefree and at most MAX_RADICAND, so each value
+    has one form and equality, the only comparison (no order), compares fields.
     A zero radical part collapses to the rational field, so `ExactScalar(3)`
     equals a D-tagged zero-radical value. Every operation costs a few int
     products and one gcd; `a` and `b` give the rational and radical parts as
@@ -62,8 +65,10 @@ class ExactScalar:
         if b:
             if D is None:
                 raise ExactError("radical coefficient given without a D")
-            if D <= 1 or _is_square(D):
-                raise ExactError(f"D must be a nonsquare integer > 1, got {D}")
+            if D > MAX_RADICAND:
+                raise ExactError(f"D must be at most {MAX_RADICAND}, got {D}")
+            if D < 2 or not _is_squarefree(D):
+                raise ExactError(f"D must be squarefree and >= 2, got {D}")
         else:
             D = None
         # numerator and denominator are exact ints for ints and Fractions alike
@@ -215,22 +220,7 @@ class ExactScalar:
             e >>= 1
         return out
 
-    # -- order and conversion -------------------------------------------------
-
-    def sign(self) -> int:
-        # den > 0, so this is the sign of x + y rD
-        x, y = self.x, self.y
-        if y == 0:
-            return (x > 0) - (x < 0)
-        if x == 0:
-            return 1 if y > 0 else -1
-        if x > 0 and y > 0:
-            return 1
-        if x < 0 and y < 0:
-            return -1
-        # opposite signs: compare x^2 with y^2 D, never equal for nonsquare D
-        dominant_rational = x * x > y * y * self.D
-        return (1 if x > 0 else -1) if dominant_rational else (1 if y > 0 else -1)
+    # -- equality and conversion ---------------------------------------------
 
     def __bool__(self):
         return self.x != 0 or self.y != 0
@@ -251,22 +241,6 @@ class ExactScalar:
             return hash((self.x, self.y, self.den, self.D))
         # equal to an int or a Fraction, so hash as that Fraction does
         return hash(self.x) if self.den == 1 else hash(Fraction(self.x, self.den))
-
-    # a string is not ordered against a scalar, as it is not equal to one
-    def __lt__(self, other):
-        return NotImplemented if isinstance(other, str) else (self - other).sign() < 0
-
-    def __le__(self, other):
-        return NotImplemented if isinstance(other, str) else (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        return NotImplemented if isinstance(other, str) else (self - other).sign() > 0
-
-    def __ge__(self, other):
-        return NotImplemented if isinstance(other, str) else (self - other).sign() >= 0
-
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
 
     def __float__(self):
         # int / int rounds correctly, as float(Fraction) does
@@ -312,11 +286,16 @@ def _join(D1: Optional[int], D2: Optional[int]) -> Optional[int]:
     raise ExactError(f"mixing radicals r{D1} and r{D2}")
 
 
-def _is_square(n: int) -> bool:
-    if n < 0:
+def _is_squarefree(d: int) -> bool:
+    """Trial division of d >= 2 by 4 and by each odd square up to d."""
+    if d % 4 == 0:
         return False
-    r = math.isqrt(n)
-    return r * r == n
+    f = 3
+    while f * f <= d:
+        if d % (f * f) == 0:
+            return False
+        f += 2
+    return True
 
 
 ZERO = ExactScalar(0)

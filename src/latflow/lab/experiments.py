@@ -294,8 +294,8 @@ def translate_experiment(
         raise InputError("curve must be a Curve")
     if samples < 1:
         raise InputError("need at least one sample")
-    if not eps > 0:
-        raise InputError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise InputError(f"eps must be positive and finite, got {eps!r}")
     if not 0 < box_radius < math.inf:
         raise InputError(f"box radius must be positive and finite, got {box_radius!r}")
     n = curve.n

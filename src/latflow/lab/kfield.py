@@ -16,22 +16,10 @@ off every rational proper subspace.  For r = 2 the line IS the subspace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 from ..errors import InputError, InvariantError
 from ..exact import ExactMatrix, ExactScalar
 from ..flows import AffineSpanData, Curve, affine_span, span_matrix_entries_rational
-
-
-def _is_squarefree(d: int) -> bool:
-    if d % 4 == 0:
-        return False
-    f = 3
-    while f * f <= d:
-        if d % (f * f) == 0:
-            return False
-        f += 2
-    return True
 
 
 @dataclass(frozen=True)
@@ -49,7 +37,7 @@ def quadratic_subspace_example(n: int, r: int, m: int, D: int) -> QuadraticExamp
     """Base-change matrix and trapped line for the field Q(sqrt(D)).
 
     Requires n = r*m with m = 2 (only quadratic fields are supported),
-    r >= 2, and D >= 2 squarefree.
+    r >= 2, and D >= 2 squarefree up to exact.MAX_RADICAND.
     """
     if m != 2:
         raise InputError(f"unsupported field degree m={m}; only m=2 is implemented")
@@ -57,10 +45,8 @@ def quadratic_subspace_example(n: int, r: int, m: int, D: int) -> QuadraticExamp
         raise InputError(f"need r >= 2, got {r}")
     if n != r * m:
         raise InputError(f"n must equal r*m; got n={n}, r*m={r * m}")
-    if D < 2 or isqrt(D) ** 2 == D or not _is_squarefree(D):
-        raise InputError(f"D must be squarefree and >= 2, got {D}")
 
-    rt = ExactScalar.sqrt(D)
+    rt = ExactScalar.sqrt(D)  # refuses a D that is not squarefree or above the bound
     one = ExactScalar(1)
     zero = ExactScalar(0)
     rows = []

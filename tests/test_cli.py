@@ -100,6 +100,21 @@ def test_example_refuses_a_field_with_a_square_factor(capsys):
     assert json.loads(capsys.readouterr().out)["D"] == 10
 
 
+def test_radicands_obey_one_rule_in_every_command(capsys):
+    """sim example and a radical target refuse the same D with the same line:
+    r8 = 2r2 is not a second form of one field element."""
+    assert cli.main(["dioph", "ext", "--n", "4", "--a=r8,1;r2,1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad entry 'r8': D must be squarefree and >= 2, got 8\n")
+    # a 19-digit prime is refused by its size at once, with no trial division
+    res = subprocess.run(CMD + ["sim", "example", "--n", "4", "--r", "2",
+                                "--D", "1000000000000000003"],
+                         capture_output=True, text=True, timeout=20)
+    assert res.returncode == 2
+    assert res.stderr == ("error: D must be at most 1000000000000, "
+                          "got 1000000000000000003\n")
+
+
 def test_translate_of_a_two_parameter_curve_reruns_byte_identically(tmp_path):
     """Samples of a k = 2 curve go through the rejection loop; a rerun with
     the same seed writes the same bytes."""
@@ -319,7 +334,39 @@ def test_probe_json():
     assert json.loads(res.stdout)["kind"] == "evidence-nonmember"
 
 
+@pytest.mark.parametrize("target", ["W", "Wprime"])
+def test_probe_of_a_tiny_rational_is_certified_with_quality_zero(target, capsys):
+    """1e-200 is read exactly, so its certificate has qnorm 10^200; an exact
+    zero has quality 0 without the power qnorm**r, which overflows."""
+    argv = ["dioph", "probe", "--a", "1e-200", "--r", "2", "--qmax", "3", "--target", target]
+    assert cli.main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["kind"] == "certified-member"
+    [witness] = data["witnesses"]
+    assert witness["qnorm"] == 10**200 and witness["quality"] == 0.0
+
+
 # -- edges of the coerced options, in process ----------------------------------
+
+
+@pytest.mark.parametrize("argv, entry", [
+    (["dirichlet", "--x", "0.41", "--delta", "0.5", "--t", "2,,4"], "''"),
+    (["dirichlet", "--x", "0.41,,0.73", "--delta", "0.5", "--t", "2,4"], "''"),
+    (["dirichlet", "--x", "0.41", "--delta", "0.5,", "--t", "2,4"], "''"),
+    (["dirichlet", "--x", "0.41", "--delta", "0.5", "--t", "2, ,4"], "' '"),
+    (["sim", "translate", "--curve", "CURVE", "--t", "1,,2", "--samples", "2",
+      "--seed", "1"], "''"),
+])
+def test_an_empty_entry_in_a_number_list_exits_2(argv, entry, edge_dir, capsys):
+    """A number list refuses an empty entry by name, as a matrix option does,
+    instead of dropping it; an empty option is still an empty list."""
+    argv = [a.replace("CURVE", str(edge_dir / "p.json")) for a in argv]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: expected a number, got {entry}\n"
+    assert captured.out == ""
+    assert cli.main(["dirichlet", "--x=", "--delta", "0.5", "--t", "2"]) == 2
+    assert capsys.readouterr().err == "error: empty number list\n"
 
 
 @pytest.mark.parametrize("argv, named", [

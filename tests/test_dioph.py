@@ -463,6 +463,9 @@ def test_probe_singular_validation():
     # every delta is checked, not only the first
     with pytest.raises(InputError, match=r"delta must lie in \(0, 1\]"):
         probe_singular((0.5,), "vect", [0.5, 1.5], (2.0,))
+    # no delta is no evidence, not singular evidence
+    with pytest.raises(InputError, match="empty delta list"):
+        probe_singular([0.41], "vect", [], [2.0, 4.0])
 
 
 def test_singular_evidence_for_rational_points():

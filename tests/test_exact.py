@@ -2,7 +2,6 @@
 
 import math
 import operator
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -11,23 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from latflow.exact import ExactError, ExactMatrix, ExactScalar, eliminate
+from latflow.exact import MAX_RADICAND, ExactError, ExactMatrix, ExactScalar, eliminate
 from latflow.wedge import wedge_matrix
-
-
-def sup_norm(vec):
-    """Max absolute entry. Exact inputs give an exact result, floats a float."""
-    items = list(vec)
-    if not items:
-        raise ExactError("sup_norm of empty vector")
-    if all(isinstance(x, (ExactScalar, int, Fraction)) for x in items):
-        best = abs(ExactScalar.coerce(items[0]))
-        for x in items[1:]:
-            cand = abs(ExactScalar.coerce(x))
-            if cand > best:
-                best = cand
-        return best
-    return max(abs(float(x)) for x in items)
 
 
 def test_parse_serialize_roundtrip():
@@ -58,12 +42,22 @@ def test_powers_collapse_radicals():
     assert (r2**3).serialize() == "2r2"
 
 
-def test_sign_and_order():
-    assert ExactScalar(-1, 1, 2).sign() == 1  # sqrt(2) - 1 > 0
-    assert ExactScalar(1, -1, 2).sign() == -1
-    assert ExactScalar(0).sign() == 0
-    assert ExactScalar(1, -1, 2) < 0 < ExactScalar.sqrt(2)
-    assert abs(ExactScalar(1, -1, 2)) == ExactScalar(-1, 1, 2)
+def test_radicand_is_squarefree_and_at_most_the_bound():
+    """parse, sqrt and string coerce share the constructor's one rule for D:
+    r8 = 2r2 and r12 = 2r3 would give one value two forms, so they are
+    refused, and so is a radicand too large to test by trial division."""
+    makers = (lambda d: ExactScalar.parse(f"r{d}"), lambda d: ExactScalar.coerce(f"1+r{d}"),
+              ExactScalar.sqrt, lambda d: ExactScalar(1, Fraction(1, 2), d))
+    for make in makers:
+        for d in (8, 4, 1, 0, 12, 18, 50, 10**6, 999999999999):
+            with pytest.raises(ExactError, match=f"^D must be squarefree and >= 2, got {d}$"):
+                make(d)
+        for d in (MAX_RADICAND + 1, 10**29 + 1):
+            with pytest.raises(ExactError, match=f"^D must be at most {MAX_RADICAND}, got {d}$"):
+                make(d)
+    # the largest prime radicand under the bound, and squarefree composites
+    for text in ("r999999999989", "r10", "1/2-3r30", "r1000003"):
+        assert ExactScalar.parse(text).serialize() == text
 
 
 def test_mixed_radicals_refused():
@@ -102,12 +96,6 @@ def test_float_conversion_tracks_value():
         b = Fraction(int(rng.integers(-30, 31)), int(rng.integers(1, 12)))
         s = ExactScalar(a, b, 5)
         assert float(s) == pytest.approx(float(a) + float(b) * 5**0.5, abs=1e-12)
-
-
-def test_sup_norm_exact_and_float():
-    v = [ExactScalar(Fraction(1, 2)), ExactScalar(-3), ExactScalar.sqrt(2)]
-    assert sup_norm(v) == ExactScalar(3)
-    assert sup_norm([0.5, -3.0, 1.41]) == 3.0
 
 
 def test_matrix_product_matches_numpy():
@@ -326,17 +314,6 @@ def test_field_axioms(triple):
             x.inverse()
 
 
-def _decimal(s):
-    """s at 60 significant digits."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        a, b = s.a, s.b
-        value = Decimal(a.numerator) / a.denominator
-        if b:
-            value += Decimal(b.numerator) / b.denominator * Decimal(s.D).sqrt()
-        return value
-
-
 @st.composite
 def near_cancelling(draw):
     """a + b sqrt(D) with a within 1/q of -b sqrt(D): the two parts cancel
@@ -346,15 +323,6 @@ def near_cancelling(draw):
     q = draw(st.integers(1, 10**6))
     root = math.isqrt(b * b * D * q * q) + draw(st.integers(-1, 1))
     return ExactScalar(Fraction(-root if b > 0 else root, q), b, D)
-
-
-@given(st.one_of(_field_elements(None), _field_elements(2), _field_elements(5),
-                 near_cancelling()))
-def test_sign_matches_decimal_evaluation(s):
-    value = _decimal(s)
-    assert s.sign() == (value > 0) - (value < 0)
-    assert (s > 0) == (value > 0) and (s < 0) == (value < 0)
-    assert abs(s).sign() == (1 if s else 0)
 
 
 @given(st.one_of(_field_elements(None), _field_elements(2), _field_elements(5),

@@ -157,6 +157,17 @@ def test_t_and_radius_out_of_range_are_rejected(monkeypatch):
                                  box_radius=radius, seed=1)
 
 
+def test_eps_that_is_not_finite_is_rejected(monkeypatch):
+    """An infinite eps would mark every row and write "eps": Infinity, which
+    is not JSON, into the aggregates file."""
+    monkeypatch.setattr(experiments, "sample_ball", _no_sampling)
+    for eps, message in ((math.inf, "got inf"), (float("1e400"), "got inf"),
+                         (math.nan, "got nan"), (0.0, "got 0.0"), (-1.0, "got -1.0")):
+        with pytest.raises(InputError, match=f"eps must be positive and finite, {message}$"):
+            translate_experiment(_parabola(), [1.0], samples=1, eps=eps,
+                                 box_radius=1.0, seed=1)
+
+
 def test_repeated_t_is_rejected():
     # a repeated t would write its rows twice and give two aggregate blocks
     with pytest.raises(InputError, match="repeated t"):
