@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
 from . import dioph
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, shown
 from .exact import ExactMatrix, ExactScalar
 from .flows import Curve, curve_to_json, load_curve
 from .instability import kempf_optimum
@@ -112,7 +112,7 @@ def _entry(e) -> ExactScalar:
             try:
                 return ExactScalar(Fraction(e))
             except (ValueError, ZeroDivisionError):
-                raise InputError(f"bad entry {e!r}: {exc}") from None
+                raise InputError(f"bad entry {shown(repr(e))}: {exc}") from None
     if (isinstance(e, int) and not isinstance(e, bool)
             or isinstance(e, float) and math.isfinite(e)):
         return ExactScalar(e)
@@ -277,7 +277,7 @@ def _resolve(args, opts: Sequence[Opt], command: str):
         with open(args.config) as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not JSON, or an int beyond the digit limit
                 raise InputError(f"config {args.config}: {exc}")
         if not isinstance(data, dict):
             raise InputError(f"config {args.config}: top level must be an object")

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, shown
 from .exact import ExactMatrix, ExactScalar
 
 DEFAULT_ENUM_BUDGET = 4_000_000
@@ -48,9 +48,7 @@ def _finite_float(x) -> float:
         f = math.inf
     if not math.isfinite(f):
         text = x.serialize() if isinstance(x, ExactScalar) else repr(x)
-        if len(text) > 24:
-            text = f"{text[:12]}... ({len(text)} characters)"
-        raise InputError(f"target entry {text} is not a finite double")
+        raise InputError(f"target entry {shown(text)} is not a finite double")
     return f
 
 
@@ -59,10 +57,10 @@ def _read_target(a):
     the integer form of an all-rational target, N = L A with L the lcm of
     the denominators, so the residual of q is dist(N q, L Z) / L exactly;
     form is None when an entry is a float or irrational."""
-    rows = a.rows if isinstance(a, ExactMatrix) else a
-    af = np.asarray([[_finite_float(x) for x in row] for row in rows], dtype=float)
-    if af.ndim != 2:
-        raise InputError("target must be a matrix (m rows, l columns)")
+    rows = a.rows if isinstance(a, ExactMatrix) else [list(row) for row in a]
+    if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
+        raise InputError("target must be a matrix (m >= 1 rows of one length l >= 1)")
+    af = np.array([[_finite_float(x) for x in row] for row in rows])
     try:
         fracs = [[ExactScalar.coerce(x).as_fraction() for x in row] for row in rows]
     except InputError:
@@ -103,11 +101,8 @@ def _search(af, form, qmax: int, budget: int) -> List[ApproxRecord]:
     if qmax < 1:
         raise InputError("qmax must be >= 1")
     cert = rational_certificate(form)
-    walk_to = qmax
-    if cert is not None:
-        cert_shell = max(abs(c) for c in cert[0])
-        if cert_shell <= qmax:
-            walk_to = cert_shell - 1
+    # a certificate in range ends the walk one shell below its own
+    walk_to = qmax if cert is None or cert.qnorm > qmax else cert.qnorm - 1
     # the one-column walk ranks q = 1..qmax, the shell walk one q of each
     # +-q pair in the cube, counted here as the whole cube
     points = walk_to if ell == 1 else (2 * walk_to + 1) ** ell
@@ -116,12 +111,8 @@ def _search(af, form, qmax: int, budget: int) -> List[ApproxRecord]:
                           f"qmax={_short(walk_to)}, budget={budget}")
     walk = _best_approx_1d if ell == 1 else _shell_walk
     records = walk(af, form, walk_to)
-    if cert is not None and cert_shell <= qmax and not any(
-        r.residual == 0.0 for r in records
-    ):
-        records.append(ApproxRecord(
-            qnorm=cert_shell, q=cert[0], p=cert[1], residual=0.0, exact_zero=True,
-        ))
+    if walk_to < qmax and not any(r.residual == 0.0 for r in records):
+        records.append(cert)
     return records
 
 
@@ -137,7 +128,7 @@ def _shell_walk(af, form, qmax) -> List[ApproxRecord]:
         if low < best:
             best = low
             q = min(_sign_normalized(c) for c in qs[keys == low].tolist())
-            records.append(_finalize_record(af, h, q, _nearest_p(q, af, scaled), low, scaled))
+            records.append(_record(af, scaled, h, q, low))
             if records[-1].exact_zero:
                 break
     return records
@@ -194,16 +185,6 @@ def _residual_keys(qs: np.ndarray, af: np.ndarray, scaled) -> np.ndarray:
     return np.max(np.minimum(rem, den - rem), axis=0)
 
 
-def _nearest_p(q: Tuple[int, ...], af: np.ndarray, scaled) -> Tuple[int, ...]:
-    """p = -round(A q), halves to even, in the arithmetic the walk ranks in."""
-    if scaled is None:
-        return tuple(int(x) for x in -np.round(af @ np.asarray(q, dtype=float)))
-    nums, den = scaled
-    return tuple(
-        -round(Fraction(sum(int(n) * c for n, c in zip(row, q)), den)) for row in nums
-    )
-
-
 def _best_approx_1d(af, form, qmax) -> List[ApproxRecord]:
     scaled = _scaled_target(form, qmax, 1)
     records: List[ApproxRecord] = []
@@ -217,28 +198,29 @@ def _best_approx_1d(af, form, qmax) -> List[ApproxRecord]:
         for i in [0, *(np.flatnonzero(res[1:] < run[:-1]) + 1)]:
             if res[i] < best:
                 best = res[i]
-                q = (int(qs[i, 0]),)
-                p = _nearest_p(q, af, scaled)
-                records.append(_finalize_record(af, q[0], q, p, res[i], scaled))
+                records.append(_record(af, scaled, int(qs[i, 0]), qs[i], res[i]))
                 if records[-1].exact_zero:
                     return records
     return records
 
 
-def _finalize_record(af, h, q, p, key, scaled) -> ApproxRecord:
-    """A record from the walk's rank key. A rational target's key is the
-    exact residual numerator over L, so the residual is key / L correctly
-    rounded and the record is an exact zero when the key is 0. A float
-    target's residual is evaluated again in one product, as the batched key
-    may differ from it in the last bits."""
-    qt, pt = tuple(int(c) for c in q), tuple(int(c) for c in p)
+def _record(af, scaled, h, q, key) -> ApproxRecord:
+    """The record of q at sup norm h, from the walk's rank key of q. p is
+    -round(A q), halves to even, in the arithmetic the walk ranks in. A
+    rational target's key is the exact residual numerator over L, so the
+    residual is key / L correctly rounded and the record is an exact zero
+    when the key is 0. A float target's residual is evaluated again in one
+    product, as the batched key may differ from it in the last bits."""
+    q = tuple(int(c) for c in q)
     if scaled is not None:
-        key = int(key)
-        return ApproxRecord(qnorm=h, q=qt, p=pt, residual=key / scaled[1],
-                            exact_zero=key == 0)
-    vals = af @ np.asarray(qt, dtype=float)
-    res = float(np.max(np.abs(vals + np.asarray(pt, dtype=float))))
-    return ApproxRecord(qnorm=h, q=qt, p=pt, residual=res)
+        nums, den = scaled
+        p = tuple(-round(Fraction(sum(int(n) * c for n, c in zip(row, q)), den))
+                  for row in nums)
+        return ApproxRecord(qnorm=h, q=q, p=p, residual=int(key) / den, exact_zero=not key)
+    vals = af @ np.asarray(q, dtype=float)
+    p = -np.round(vals)
+    return ApproxRecord(qnorm=h, q=q, p=tuple(int(x) for x in p),
+                        residual=float(np.max(np.abs(vals + p))))
 
 
 def check_exponent(r: float, qmax: int) -> None:
@@ -281,14 +263,13 @@ def exponent_fit(records: Sequence[ApproxRecord]):
         for rec in records
         if rec.residual > 0.0 and rec.qnorm >= 1
     ]
-    if len(pts) < 2:
+    if len({x for x, _ in pts}) < 2:
         return None, infinite
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    if float(np.ptp(xs)) == 0.0:
-        return None, infinite
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return slope, infinite
+    # the least-squares slope, each sum correctly rounded by fsum
+    mx = math.fsum(x for x, _ in pts) / len(pts)
+    my = math.fsum(y for _, y in pts) / len(pts)
+    sxy = math.fsum((x - mx) * (y - my) for x, y in pts)
+    return sxy / math.fsum((x - mx) ** 2 for x, _ in pts), infinite
 
 
 def exponent_estimate(a, qmax: int, budget: int = DEFAULT_ENUM_BUDGET):
@@ -299,16 +280,18 @@ def exponent_estimate(a, qmax: int, budget: int = DEFAULT_ENUM_BUDGET):
     return exponent_fit(best_approximations(a, qmax, budget=budget))
 
 
-def rational_certificate(form) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """For the integer form (N, L) of a rational A (from _read_target):
-    integer (q, p) with A q + p = 0, q = q0 e_1 with q0 = L / gcd(L, column 0
-    of N), the lcm of the denominators of A's first column. None for a
-    target with a float or irrational entry (form None)."""
+def rational_certificate(form) -> Optional[ApproxRecord]:
+    """For the integer form (N, L) of a rational A (from _read_target): the
+    exact-zero record of integer (q, p) with A q + p = 0, q = q0 e_1 with
+    q0 = L / gcd(L, column 0 of N), the lcm of the denominators of A's first
+    column. None for a target with a float or irrational entry (form None)."""
     if form is None:
         return None
     nums, den = form
     g = math.gcd(den, *(row[0] for row in nums))
-    return (den // g,) + (0,) * (len(nums[0]) - 1), tuple(-(row[0] // g) for row in nums)
+    return ApproxRecord(qnorm=den // g, q=(den // g,) + (0,) * (len(nums[0]) - 1),
+                        p=tuple(-(row[0] // g) for row in nums), residual=0.0,
+                        exact_zero=True)
 
 
 def a_ext(a: ExactMatrix) -> ExactMatrix:
@@ -403,22 +386,8 @@ def w_probe(
     af, form = _read_target(a)
     cert = rational_certificate(form)
     if cert is not None:
-        q, p = cert
-        rec = ApproxRecord(
-            qnorm=max(abs(x) for x in q),
-            q=q,
-            p=p,
-            residual=0.0,
-            exact_zero=True,
-        )
-        return DiophVerdict(
-            kind=CERTIFIED_MEMBER,
-            target=tname,
-            r=r,
-            qmax=qmax,
-            witnesses=[rec],
-            notes="rational target: exact zero-residual certificate",
-        )
+        return DiophVerdict(CERTIFIED_MEMBER, tname, r, qmax, [cert],
+                            "rational target: exact zero-residual certificate")
     # not all rational, so no record is an exact zero, and qmax >= 1 gives
     # at least the record of the first shell
     records = _search(af, None, qmax, budget)
@@ -538,13 +507,13 @@ def probe_singular(x, form: str, deltas: Sequence[float], t_grid: Sequence[float
     for v in x:
         if not math.isfinite(v):
             raise InputError(f"x must be finite, got {v}")
-    a = [[v] for v in x] if vect else [list(x)]
+    af, int_form = _read_target([[v] for v in x] if vect else [x])
 
     def bound(t):
         return int(math.floor(t**n if vect else t))
 
     try:
-        records = best_approximations(a, bound(t_grid[-1]), budget=budget)
+        records = _search(af, int_form, bound(t_grid[-1]), budget)
     except BudgetError as exc:
         raise BudgetError(f"dirichlet {form} at T = {t_grid[-1]:g}: {exc}") from None
     reports = []
@@ -556,22 +525,21 @@ def probe_singular(x, form: str, deltas: Sequence[float], t_grid: Sequence[float
             if rec is None:
                 rows.append(DirichletRow(t=t, solvable=False, q=None, p=None, residual=None))
                 continue
-            q, p, res = (rec.q, rec.p, rec.residual) if vect else _lf_witness(a, rec, limit)
-            rows.append(DirichletRow(t=t, solvable=True, q=q, p=p, residual=res))
+            rec = rec if vect else _lf_witness(af, rec, limit)
+            rows.append(DirichletRow(t=t, solvable=True, q=rec.q, p=rec.p, residual=rec.residual))
         tail = rows[len(rows) // 2:]
         reports.append(DirichletReport(x, form, delta, rows, all(r.solvable for r in tail)))
     return reports, all(rep.tail_solvable for rep in reports)
 
 
-def _lf_witness(a, rec: ApproxRecord, limit: float):
-    """(q, p, residual) of the hit (residual <= limit) in rec's shell that
-    comes first in lex order over +-q; rec's own when float rounding leaves
-    the shell without a hit."""
-    af = np.asarray(a)
+def _lf_witness(af, rec: ApproxRecord, limit: float) -> ApproxRecord:
+    """The record of the hit (residual <= limit) in rec's shell that comes
+    first in lex order over +-q; rec itself when float rounding leaves the
+    shell without a hit."""
     qs = _shell_points(rec.qnorm, af.shape[1])
     keys = _residual_keys(qs, af, None)
     hits = np.flatnonzero(keys <= limit)
     if hits.size == 0:
-        return rec.q, rec.p, rec.residual
+        return rec
     q, i = min((min(tuple(qs[i].tolist()), tuple((-qs[i]).tolist())), i) for i in hits)
-    return q, _nearest_p(q, af, None), float(keys[i])
+    return _record(af, None, rec.qnorm, q, keys[i])

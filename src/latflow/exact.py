@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Union
 
@@ -99,9 +100,14 @@ class ExactScalar:
         try:
             a = Fraction(m.group("a") or 0)
             b = Fraction(m.group("b") or 1)
+            d = m.group("d") and int(m.group("d"))
         except ZeroDivisionError:
             raise ExactError(f"zero denominator in {text!r}")
-        if m.group("d") is None:
+        except ValueError:  # a number beyond Python's int-string limit
+            digits = max(map(len, re.findall(r"\d+", text)))
+            raise ExactError(f"a number of {digits} digits exceeds the int-string "
+                             f"limit of {sys.get_int_max_str_digits()} digits") from None
+        if d is None:
             return ExactScalar(a)
         if m.group("sign") == "-":
             b = -b
@@ -111,7 +117,7 @@ class ExactScalar:
                 raise ExactError(f"missing sign before radical part in {text!r}")
             # "2r3", "-1/2r5": the one number is the radical's coefficient
             a, b = 0, a
-        return ExactScalar(a, b, int(m.group("d")))
+        return ExactScalar(a, b, d)
 
     @staticmethod
     def sqrt(D: int) -> "ExactScalar":

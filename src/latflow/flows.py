@@ -10,6 +10,7 @@ top-row group, so a point v of R^(n-1) embeds as the matrix with first row
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -110,8 +111,10 @@ class Curve:
             self.center = [0.0] * self.k
         if len(self.center) != self.k:
             raise FlowError("center of wrong arity")
-        if not self.radius > 0:
-            raise FlowError("radius must be positive")
+        if not all(math.isfinite(c) for c in self.center):
+            raise FlowError(f"center must be finite, got {self.center}")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise FlowError(f"radius must be positive and finite, got {self.radius}")
 
 
 def curve_eval(curve: Curve, s: Sequence) -> List[ExactScalar]:
@@ -172,7 +175,10 @@ def curve_from_json(data: dict) -> Curve:
 
 def load_curve(path: str) -> Curve:
     with open(path) as fh:
-        return curve_from_json(json.load(fh))
+        try:
+            return curve_from_json(json.load(fh))
+        except ValueError as exc:  # not JSON, an int beyond the digit limit, a bad curve
+            raise FlowError(f"curve file {path}: {exc}") from None
 
 
 # -- affine span --------------------------------------------------------------

@@ -195,7 +195,6 @@ def compute_aggregates(
     rows: Sequence[ExperimentRow],
     n: int,
     box_radius: float,
-    eps: float,
     t_grid: Sequence[float],
 ) -> List[dict]:
     """Per-t summary block; recomputable from the rows alone."""
@@ -341,7 +340,7 @@ def translate_experiment(
                     below_eps=lam1 < eps,
                 )
             )
-    aggregates = compute_aggregates(rows, n, box_radius, eps, t_list)
+    aggregates = compute_aggregates(rows, n, box_radius, t_list)
     return ExperimentReport(
         n=n,
         t_grid=t_list,

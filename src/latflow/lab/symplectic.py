@@ -65,7 +65,6 @@ class ResidualReport:
     residual_norm: float
     ratio: float
     band: float
-    residual_ext: Tuple[float, ...]
 
     def in_band(self) -> bool:
         if self.pi1_norm == 0.0 and self.residual_norm == 0.0:
@@ -123,5 +122,4 @@ def residual_check(a, w: Sequence) -> ResidualReport:
         residual_norm=res_norm,
         ratio=ratio,
         band=band,
-        residual_ext=tuple(float(x) for x in res),
     )

@@ -115,6 +115,48 @@ def test_radicands_obey_one_rule_in_every_command(capsys):
                           "got 1000000000000000003\n")
 
 
+PARABOLA_JSON = ('{"n": 3, "k": 1, "coords": [{"monomials": [{"exps": [1], "coeff": "1"}]}, '
+                 '{"monomials": [{"exps": [2], "coeff": "1"}]}]%s}')
+
+
+@pytest.mark.parametrize("text, named", [
+    ("", "Expecting value"),
+    ("{not json", "Expecting property name"),
+    ('{"n": %s}' % ("1" * 5000), "value has 5000 digits"),
+    (PARABOLA_JSON % ', "radius": 1e999', "radius must be positive and finite, got inf"),
+    (PARABOLA_JSON % ', "center": [-1e999]', "center must be finite, got [-inf]"),
+    (PARABOLA_JSON % ', "center": [NaN]', "center must be finite, got [nan]"),
+], ids=["empty", "not-json", "long-int", "inf-radius", "inf-center", "nan-center"])
+@pytest.mark.parametrize("dry", [[], ["--dry-run"]], ids=["run", "dry-run"])
+def test_a_bad_curve_file_exits_2_naming_it(text, named, dry, tmp_path, capsys):
+    """A curve file that is no JSON, holds an integer beyond the int-string
+    limit, or gives a radius or center that is not finite exits 2 with one
+    line naming the file, before any sample and in a dry run too."""
+    curve, out = tmp_path / "bad.json", tmp_path / "out.csv"
+    curve.write_text(text)
+    assert cli.main(["sim", "translate", "--curve", str(curve), "--t", "1", "--samples",
+                     "2", "--seed", "1", "--out", str(out)] + dry) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: curve file {curve}: ") and named in err
+    assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("entry", ["1" * 5000, "r" + "1" * 5000, "1/" + "3" * 5000],
+                         ids=["integer", "radicand", "denominator"])
+def test_an_entry_beyond_the_int_string_limit_exits_2(entry, tmp_path, capsys):
+    """An entry with a number of more than 4300 digits exits 2 on one short
+    line giving the digit count, from a flag and from a config file."""
+    assert cli.main(["dioph", "ext", "--n", "4", "--a", f"{entry},1;2,3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad entry ") and "a number of 5000 digits" in err
+    assert len(err) < 200
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n": 4, "a": [[%s, 1], [2, 3]]}' % ("1" * 5000))
+    assert cli.main(["dioph", "ext", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg}: ") and "value has 5000 digits" in err
+
+
 def test_translate_of_a_two_parameter_curve_reruns_byte_identically(tmp_path):
     """Samples of a k = 2 curve go through the rejection loop; a rerun with
     the same seed writes the same bytes."""

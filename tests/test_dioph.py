@@ -29,8 +29,9 @@ SQRT2M1 = math.sqrt(2) - 1
 
 
 def _certificate(a):
-    """The zero certificate of a target, from its integer form."""
-    return rational_certificate(dioph._read_target(a)[1])
+    """(q, p) of the zero certificate of a target, from its integer form."""
+    cert = rational_certificate(dioph._read_target(a)[1])
+    return None if cert is None else (cert.q, cert.p)
 
 
 def _dirichlet(x, form, delta, grid):
@@ -220,6 +221,26 @@ def test_exponent_of_random_pairs():
         assert om == pytest.approx(0.5, abs=0.15)
 
 
+def test_exponent_slope_matches_numpy_least_squares():
+    """The fsum slope is the least-squares slope that np.polyfit gives, to
+    rounding; equal norms leave no slope, and an exact zero only the flag."""
+    rng = np.random.default_rng(58)
+    for _ in range(50):
+        qs = sorted(set(rng.integers(1, 10**6, size=int(rng.integers(2, 30))).tolist()))
+        if len(qs) < 2:
+            continue
+        recs = [ApproxRecord(qnorm=q, q=(q,), p=(0,), residual=float(r))
+                for q, r in zip(qs, rng.uniform(1e-9, 0.5, size=len(qs)))]
+        xs, ys = np.log(qs), -np.log([rec.residual for rec in recs])
+        slope, infinite = dioph.exponent_fit(recs)
+        assert slope == pytest.approx(np.polyfit(xs, ys, 1)[0], rel=1e-9, abs=1e-12)
+        assert not infinite
+    same = [ApproxRecord(qnorm=3, q=(3,), p=(-1,), residual=r) for r in (0.1, 0.2)]
+    assert dioph.exponent_fit(same) == (None, False)
+    zero = ApproxRecord(qnorm=7, q=(7,), p=(-2,), residual=0.0, exact_zero=True)
+    assert dioph.exponent_fit(same[:1] + [zero]) == (None, True)
+
+
 def test_exponent_needs_range():
     with pytest.raises(InputError):
         exponent_estimate([[SQRT2M1]], 5)
@@ -348,6 +369,35 @@ def test_w_probe_reads_its_target_once(a, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("form", ["vect", "lf"])
+def test_probe_singular_reads_its_target_once(form, monkeypatch):
+    calls = []
+    read = dioph._read_target
+    monkeypatch.setattr(dioph, "_read_target", lambda t: calls.append(t) or read(t))
+    probe_singular((0.3, 0.7), form, (0.5, 0.1), (2.0, 3.0, 5.0))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("a", [[[0.1, 0.2], [0.3]], [[]], [], [[0.1], []]])
+def test_ragged_or_empty_target_is_refused(a):
+    with pytest.raises(InputError, match="target must be a matrix"):
+        best_approximations(a, 5)
+    with pytest.raises(InputError, match="target must be a matrix"):
+        w_probe(a, r=2.0, qmax=5)
+
+
+@pytest.mark.parametrize("form", ["vect", "lf"])
+def test_probe_singular_refuses_an_empty_x(form):
+    with pytest.raises(InputError, match="target must be a matrix"):
+        probe_singular((), form, [0.5], (2.0,))
+
+
+@pytest.mark.parametrize("a", [((0.1, 0.3),), np.array([[0.1, 0.3]]), ((Fraction(1, 3),),),
+                               np.array([[0.25], [0.5]])])
+def test_tuple_and_array_targets_are_read(a):
+    assert best_approximations(a, 5) == best_approximations([list(row) for row in a], 5)
+
+
 def test_probe_json_shape():
     v = w_probe([[SQRT2M1]], r=2.0, qmax=1000)
     data = v.to_json()
@@ -402,9 +452,8 @@ def test_dirichlet_row_does_not_depend_on_the_other_t(form):
 @pytest.mark.parametrize("form", ["vect", "lf"])
 def test_dirichlet_walks_once_per_query(form, monkeypatch):
     calls = []
-    walk = dioph.best_approximations
-    monkeypatch.setattr(dioph, "best_approximations",
-                        lambda *a, **k: calls.append(a) or walk(*a, **k))
+    walk = dioph._search
+    monkeypatch.setattr(dioph, "_search", lambda *a, **k: calls.append(a) or walk(*a, **k))
     _dirichlet((0.3, 0.7), form, 0.5, (2.0, 3.0, 5.0, 8.0))
     assert len(calls) == 1
 
@@ -416,9 +465,8 @@ def test_probe_singular_walks_once_for_every_delta(form, monkeypatch):
     x, deltas, grid = (0.3, 0.7), (0.5, 0.1, 0.01), (2.0, 3.0, 5.0, 8.0)
     alone = [_dirichlet(x, form, d, grid).to_json() for d in deltas]
     calls = []
-    walk = dioph.best_approximations
-    monkeypatch.setattr(dioph, "best_approximations",
-                        lambda *a, **k: calls.append(a) or walk(*a, **k))
+    walk = dioph._search
+    monkeypatch.setattr(dioph, "_search", lambda *a, **k: calls.append(a) or walk(*a, **k))
     reports, _ = probe_singular(x, form, deltas, grid)
     assert len(calls) == 1
     assert [rep.to_json() for rep in reports] == alone

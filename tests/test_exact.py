@@ -27,6 +27,15 @@ def test_parse_rejects_garbage():
             ExactScalar.parse(bad)
 
 
+@pytest.mark.parametrize("text", ["1" * 5000, "-1/" + "7" * 5000, "r" + "1" * 5000,
+                                  "1+" + "3" * 5000 + "r2"],
+                         ids=["integer", "denominator", "radicand", "coefficient"])
+def test_parse_names_the_digit_count_of_a_number_beyond_the_int_string_limit(text):
+    with pytest.raises(ExactError, match="a number of 5000 digits exceeds") as info:
+        ExactScalar.parse(text)
+    assert len(str(info.value)) < 100
+
+
 def test_conjugate_product_is_rational():
     s = ExactScalar(1, 1, 2)
     assert (s * ExactScalar(1, -1, 2)).serialize() == "-1"

@@ -85,6 +85,21 @@ def test_root_systems_name_fraction_only_where_a_vector_is_written_out():
     assert found == []
 
 
+def test_dioph_builds_records_in_one_place():
+    """Every ApproxRecord of dioph, walk record, Dirichlet witness or zero
+    certificate, is built by _record or rational_certificate, so a new walk
+    takes its p and residual rules from there instead of growing its own."""
+    tree = ast.parse((SRC / "dioph.py").read_text())
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in ("_record", "rational_certificate"):
+            inside.update(range(node.lineno, node.end_lineno + 1))
+    found = [f"{node.lineno} ApproxRecord(" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "ApproxRecord" and node.lineno not in inside]
+    assert len(inside) > 2 and found == []
+
+
 def test_cli_import_leaves_sympy_off_the_path():
     """Heavy symbolic dependencies stay out of every command's start-up."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
