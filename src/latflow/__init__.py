@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .errors import BudgetError, InputError, InvariantError
 from .exact import ExactMatrix, ExactScalar
-from .flows import Curve, FlowSpec, affine_span, curve_eval, load_curve
+from .flows import Curve, affine_span, curve_eval, load_curve
 from .wedge import WedgeIndex, pfaffian, wedge_matrix, wedge_vector
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "Curve",
     "ExactMatrix",
     "ExactScalar",
-    "FlowSpec",
     "InputError",
     "InvariantError",
     "WedgeIndex",

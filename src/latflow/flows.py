@@ -1,5 +1,7 @@
-"""Diagonal flows, unipotent embeddings, polynomial curves and their affine
-spans.
+"""Unipotent embeddings, polynomial curves and their affine spans.
+
+The diagonal flow g_t = diag(e^{(n-1)t}, e^{-t}, ..., e^{-t}) itself is two
+scales, computed where the orbit kernel uses them (lab.experiments).
 
 Conventions: matrices act on column vectors; the expanding unipotent is the
 top-row group, so a point v of R^(n-1) embeds as the matrix with first row
@@ -21,45 +23,6 @@ from .exact import ExactMatrix, ExactScalar
 
 class FlowError(InputError):
     """Bad flow or curve data."""
-
-
-@dataclass(frozen=True)
-class FlowSpec:
-    """One-parameter diagonal subgroup, given by its exponent vector.
-
-    kind 'g' is the standard expanding flow diag(e^{(n-1)t}, e^{-t}, ...);
-    'b' and 'c' are the two commuting factors attached to a span dimension d,
-    with g = c * b entrywise.
-    """
-
-    kind: str
-    n: int
-    d: Optional[int] = None
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise FlowError(f"n must be >= 2, got {self.n}")
-        if self.kind == "g":
-            if self.d is not None:
-                raise FlowError("kind 'g' takes no d")
-        elif self.kind in ("b", "c"):
-            if self.d is None or not 1 <= self.d <= self.n - 1:
-                raise FlowError(f"kind {self.kind!r} needs 1 <= d <= n-1")
-        else:
-            raise FlowError(f"unknown flow kind {self.kind!r}")
-
-    def exponents(self) -> List[Fraction]:
-        n, d = self.n, self.d
-        if self.kind == "g":
-            return [Fraction(n - 1)] + [Fraction(-1)] * (n - 1)
-        if self.kind == "b":
-            return [Fraction(n - d, d)] * d + [Fraction(-1)] * (n - d)
-        # kind 'c'
-        return (
-            [Fraction(n * d - n, d)]
-            + [Fraction(-n, d)] * (d - 1)
-            + [Fraction(0)] * (n - d)
-        )
 
 
 def g_of_A(a: ExactMatrix, n: int) -> ExactMatrix:

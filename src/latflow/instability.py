@@ -53,14 +53,6 @@ def weight_support(v: Sequence, rep, n: int) -> frozenset:
     return frozenset(w for w, c in zip(weights, coords) if c)
 
 
-def m_value(v: Sequence, lam: Sequence[int], rep, n: int) -> int:
-    """min over the weight support of the pairing <chi, lam>."""
-    support = weight_support(v, rep, n)
-    if not support:
-        raise InputError("m_value of the zero vector")
-    return min(sum(c * l for c, l in zip(chi, lam)) for chi in support)
-
-
 # -- exact min-norm point -----------------------------------------------------
 
 
@@ -184,7 +176,8 @@ def kempf_optimum(v: Sequence, rep, n: int) -> KempfResult:
     ints = [int(c * scale_lcm) for c in h]
     g = math.gcd(*ints)
     lam = tuple(c // g for c in ints)
-    m_star = Fraction(m_value(v, lam, rep, n))
+    # m(v, lam*): the least pairing <chi, lam*> over the weight support
+    m_star = Fraction(min(sum(c * l for c, l in zip(chi, lam)) for chi in support))
     # the optimum is rational in the squares: m(v, lam*)^2 == B^2 * ||lam*||^2
     lam2 = sum(Fraction(c * c) for c in lam)
     if m_star * m_star != b2 * lam2 or m_star <= 0:

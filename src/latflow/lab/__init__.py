@@ -1,20 +1,8 @@
 """Lattice laboratory: reduction, counting, flow experiments, and the
-structured examples (quadratic-field lines, wedge residuals, descent)."""
+structured examples (quadratic-field lines, wedge residuals, descent).
 
-from .reduction import enumerate_ball, gram_schmidt
-from .descent import descend_to_vector, wedge_span_lattice
-from .symplectic import residual_check
-from .kfield import quadratic_subspace_example
-from .experiments import ExperimentReport, translate_experiment
-from . import grids  # noqa: F401  (unused by the package; perfbench/tracing.py wraps Grid3)
+Callers import the submodules.  The three loaded here are on no command's
+import path, but perfbench/tracing.py wraps functions of each and looks
+them up in sys.modules once latflow.cli is imported."""
 
-__all__ = [
-    "ExperimentReport",
-    "descend_to_vector",
-    "enumerate_ball",
-    "gram_schmidt",
-    "quadratic_subspace_example",
-    "residual_check",
-    "translate_experiment",
-    "wedge_span_lattice",
-]
+from . import descent, grids, symplectic  # noqa: F401

@@ -25,7 +25,6 @@ config and seed regardless of evaluation order.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -37,9 +36,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import BudgetError, InputError
+from ..errors import BudgetError, InputError, InvariantError
 from ..exact import ExactScalar
-from ..flows import Curve, FlowSpec, curve_eval
+from ..flows import Curve, curve_eval
 from . import reduction
 
 _SQRT_BITS = 80
@@ -59,6 +58,9 @@ def _head_form(phi: Sequence[ExactScalar]) -> Tuple[List[int], int]:
     common factor is cancelled.  int / int is correctly rounded, so each
     float head is the nearest double to the rational (c . z) / q, as
     float(Fraction) of the same value would be.
+
+    u(phi) Z^n depends on phi mod Z^(n-1) alone, so c_1..c_(n-1) are folded
+    into [0, q): each phi_j is taken in [0, 1), however large phi is.
     """
     scale = 1 << _SQRT_BITS
     den = math.lcm(*(p.den for p in phi))
@@ -67,7 +69,8 @@ def _head_form(phi: Sequence[ExactScalar]) -> Tuple[List[int], int]:
         root = math.isqrt(p.D << (2 * _SQRT_BITS)) if p.y else 0
         coeffs.append((p.x * scale + p.y * root) * (den // p.den))
     g = math.gcd(den * scale, *coeffs)
-    return [c // g for c in coeffs], den * scale // g
+    q = den * scale // g
+    return [q] + [c // g % q for c in coeffs[1:]], q
 
 
 def _head_value(form: Tuple[Sequence[int], int], z: Sequence[int]) -> float:
@@ -90,21 +93,13 @@ def sample_ball(curve: Curve, samples: int, seed: int) -> List[Tuple[float, ...]
     return pts
 
 
-@functools.cache
-def _g_exponents(n: int) -> Tuple[float, float]:
-    """The head and tail exponents of g_t = FlowSpec("g", n), (n-1, -1),
-    built once per n: _flow_scales runs for every (sample, t) and chain step."""
-    head, tail = FlowSpec("g", n).exponents()[:2]
-    return float(head), float(tail)
-
-
 def _flow_scales(n: int, t: float) -> Tuple[float, float]:
-    """(e^{(n-1)t}, e^{-t}), the scales of g_t on the head and the tail
-    coordinates; InputError unless they and their squares (the reduction's
-    squared norms) are finite and nonzero."""
-    head, tail = _g_exponents(n)
+    """(e^{(n-1)t}, e^{-t}), the scales of g_t = diag(e^{(n-1)t}, e^{-t},
+    ..., e^{-t}) on the head and the tail coordinates; InputError unless
+    they and their squares (the reduction's squared norms) are finite and
+    nonzero."""
     try:
-        scales = (math.exp(head * t), math.exp(tail * t))
+        scales = (math.exp((n - 1) * t), math.exp(-t))
     except OverflowError:
         scales = (math.inf, math.inf)
     if not all(math.isfinite(s * s) and s * s > 0 for s in scales):
@@ -330,6 +325,9 @@ def translate_experiment(
                                           _chained_reduction(form, n, t, chain))
             except BudgetError as exc:
                 raise BudgetError(f"sample {idx}, t = {t!r}: {exc}") from exc
+            if lam1 > 1 + 1e-9:  # Minkowski: a unimodular lattice has lambda_1 <= 1
+                raise InvariantError(f"sample {idx}, t = {t!r}: lambda_1 = {lam1!r} "
+                                     "exceeds Minkowski's bound 1")
             rows.append(
                 ExperimentRow(
                     sample_index=idx,

@@ -15,12 +15,14 @@ import numpy as np
 
 
 def det_by_permutations(rows):
-    """Exact determinant as the signed permutation sum.  Fine up to 6x6."""
+    """Exact determinant as the signed permutation sum.  Fine up to 6x6.
+    Python int entries are multiplied as ints, anything else as Fractions."""
     n = len(rows)
-    rows = [[Fraction(x) for x in r] for r in rows]
-    total = Fraction(0)
+    if not all(type(x) is int for r in rows for x in r):
+        rows = [[Fraction(x) for x in r] for r in rows]
+    total = 0
     for perm, sign in _signed_permutations(n):
-        term = Fraction(1)
+        term = 1
         for i in range(n):
             term *= rows[i][perm[i]]
         total += sign * term
@@ -182,9 +184,18 @@ def lll_full_recompute(embed, ncols, start=None):
     return z, b
 
 
-def make_flow(spec, t):
-    """Float diagonal matrix of the flow spec (a latflow FlowSpec) at time t."""
-    return np.diag([float(np.exp(float(e) * t)) for e in spec.exponents()])
+def flow_exponents(kind, n, d):
+    """Exponents of b_t ('b') or c_t ('c'), the two commuting diagonal
+    factors of g_t attached to a span dimension 1 <= d <= n-1, with
+    g_t = c_t b_t entrywise.  Each sums to zero."""
+    if kind == "b":
+        return [Fraction(n - d, d)] * d + [Fraction(-1)] * (n - d)
+    return [Fraction(n * d - n, d)] + [Fraction(-n, d)] * (d - 1) + [Fraction(0)] * (n - d)
+
+
+def make_flow(exponents, t):
+    """Float diagonal matrix diag(e^{e t}) of an exponent list at time t."""
+    return np.diag([float(np.exp(float(e) * t)) for e in exponents])
 
 
 def u_row_float(v):

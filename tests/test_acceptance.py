@@ -15,10 +15,10 @@ import pytest
 import oracles
 from latflow.dioph import a_ext, probe_singular
 from latflow.exact import ExactMatrix, ExactScalar
-from latflow.flows import Curve, FlowSpec, g_of_A
+from latflow.flows import Curve, g_of_A
 from latflow.instability import kempf_optimum, weight_support
 from latflow.lab.descent import descend_to_vector
-from latflow.lab.experiments import translate_experiment
+from latflow.lab.experiments import _flow_scales, translate_experiment
 from latflow.lab.kfield import quadratic_subspace_example
 from latflow.lab.symplectic import residual_check
 from latflow.rootsys import minuscule_checks
@@ -50,13 +50,14 @@ def test_criterion_01_algebraic_identity_suite():
         assert pf * pf == oracles.det_by_permutations(anti)
 
     t_grid = (0.25, 0.5, 1.0)
-    for _ in range(1000):  # g_t = c_t b_t within 1e-12
+    for _ in range(1000):  # g_t = c_t b_t within 1e-12, g_t the kernel's scales
         n = int(rng.integers(2, 9))
         d = int(rng.integers(1, n))
         t = float(rng.choice(t_grid))
-        b = oracles.make_flow(FlowSpec("b", n, d=d), t)
-        c = oracles.make_flow(FlowSpec("c", n, d=d), t)
-        g = oracles.make_flow(FlowSpec("g", n), t)
+        b = oracles.make_flow(oracles.flow_exponents("b", n, d), t)
+        c = oracles.make_flow(oracles.flow_exponents("c", n, d), t)
+        head, tail = _flow_scales(n, t)
+        g = np.diag([head] + [tail] * (n - 1))
         assert np.max(np.abs(c @ b - g)) <= 1e-12
 
     def u(v):  # first row (1, v), identity below

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from latflow.errors import InputError
+from latflow.errors import InputError, InvariantError
 from latflow.exact import ExactScalar
 from latflow.flows import Curve, curve_eval
 from latflow.lab import experiments, reduction
@@ -197,6 +197,35 @@ def test_four_dimensional_path():
         assert row.siegel_count % 2 == 0
 
 
+def test_a_huge_center_or_radius_gives_the_integral_lattice():
+    """With center 1e308 or radius 1e308 every sampled s is an integer, so
+    phi(s) is integral and the lattice is g_1 Z^3: lambda_1 = e^-1 and 80
+    points in the box of radius 1.5."""
+    one = ExactScalar(1)
+    centred = Curve(n=3, k=1, coords=[[((1,), one)], [((2,), one)]], center=(1e308,))
+    for curve in (centred, _parabola(radius=1e308)):
+        rep = translate_experiment(curve, [1.0], samples=2, eps=0.1, box_radius=1.5, seed=1)
+        assert [(r.lambda1, r.siegel_count) for r in rep.rows] == [(math.exp(-1), 80)] * 2
+
+
+def test_an_integer_shift_of_the_curve_leaves_every_row():
+    """u(phi) Z^n depends on phi mod Z^(n-1): the parabola shifted by 10^21
+    in both coordinates gives the plain parabola's rows, bit for bit."""
+    one, big = ExactScalar(1), ExactScalar(10**21)
+    shifted = Curve(n=3, k=1, coords=[[((1,), one), ((0,), big)], [((2,), one), ((0,), big)]])
+    reps = [translate_experiment(c, [1.0], samples=20, eps=0.1, box_radius=1.5, seed=1)
+            for c in (_parabola(), shifted)]
+    assert reps[1].rows == reps[0].rows
+
+
+def test_a_first_minimum_above_minkowski_bound_raises(monkeypatch):
+    """A unimodular lattice has lambda_1 <= 1 in the sup norm, so a kernel
+    that reports more is a bug, named with its sample and t."""
+    monkeypatch.setattr(experiments, "_flow_stats", lambda *args: (1.5, 0))
+    with pytest.raises(InvariantError, match=r"sample 0, t = 1\.0: lambda_1 = 1\.5 "):
+        translate_experiment(_parabola(), [1.0], samples=1, eps=0.1, box_radius=1.5, seed=1)
+
+
 def test_negative_time_at_n3():
     """n = 3 takes t < 0 like every other n, and its minima match the scan."""
     rep = translate_experiment(_parabola(), [-1.0], samples=6, eps=0.1, box_radius=1.5, seed=12)
@@ -235,26 +264,34 @@ def test_flow_kernel_box_count_matches_matrix_path():
             t, v1, v2, radius)
 
 
+def _phi_80(p):
+    """phi_j in Fraction arithmetic, with sqrt(D) taken to 80 bits as the
+    kernel does."""
+    if not p.b:
+        return p.a
+    return p.a + p.b * Fraction(math.isqrt(p.D << 160), 1 << 80)
+
+
 def _fraction_head(phi, z):
-    """The head z_0 + sum_j phi_j z_{j+1} in Fraction arithmetic, with
-    each sqrt(D) taken to 80 bits as the kernel does."""
-    acc = Fraction(z[0])
-    for p, zz in zip(phi, z[1:]):
-        acc += p.a * zz
-        if p.b:
-            acc += p.b * zz * Fraction(math.isqrt(p.D << 160), 1 << 80)
-    return float(acc)
+    """The head z_0 + sum_j phi_j z_{j+1} in Fraction arithmetic."""
+    return float(Fraction(z[0]) + sum(_phi_80(p) * zz for p, zz in zip(phi, z[1:])))
 
 
 def _assert_heads_agree(phi, rng, trials=300):
+    """_head_value of the form against the Fraction head.  The form folds
+    each phi_j into [0, 1), taking k_j = floor(phi_j) off it, so its head at
+    z is the Fraction head at z_0 - sum_j k_j z_{j+1}, exactly."""
     form = _head_form(phi)
+    k = [math.floor(_phi_80(p)) for p in phi]
     for i in range(trials):
         scale = 10 ** int(rng.integers(1, 13))
         z = [int(x) for x in rng.integers(-scale, scale + 1, size=len(phi) + 1)]
         if i % 2:
             # cancel the integer part so the head is a small fractional part
-            z[0] = -math.floor(sum(float(p) * zz for p, zz in zip(phi, z[1:])))
-        want = _fraction_head(phi, z)
+            z[0] = -math.floor(sum(float(_phi_80(p) - kj) * zz
+                                   for p, kj, zz in zip(phi, k, z[1:])))
+        shifted = [z[0] - sum(kj * zz for kj, zz in zip(k, z[1:]))] + z[1:]
+        want = _fraction_head(phi, shifted)
         got = _head_value(form, z)
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (phi, z)
 

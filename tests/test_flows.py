@@ -13,7 +13,6 @@ from latflow.flows import (
     AffineSpanData,
     Curve,
     FlowError,
-    FlowSpec,
     affine_span,
     curve_eval,
     curve_from_json,
@@ -22,40 +21,27 @@ from latflow.flows import (
     load_curve,
     span_matrix_entries_rational,
 )
+from latflow.lab.experiments import _flow_scales
 
 
-def test_g_flow_exponents():
-    spec = FlowSpec("g", 3)
-    assert spec.exponents() == [Fraction(2), Fraction(-1), Fraction(-1)]
-    m = oracles.make_flow(spec, 1.0)
-    assert np.allclose(np.diag(m), [math.e**2, 1 / math.e, 1 / math.e])
-    assert m.shape == (3, 3) and np.allclose(m, np.diag(np.diag(m)))
-
-
-def test_flow_kinds_and_d():
-    with pytest.raises(FlowError):
-        FlowSpec("g", 3, d=1)  # g has no free block size
-    with pytest.raises(FlowError):
-        FlowSpec("b", 4, d=0)
-    with pytest.raises(FlowError):
-        FlowSpec("b", 4, d=4)
-    with pytest.raises(FlowError):
-        FlowSpec("x", 4, d=1)
-    # every flow is volume free: exponents sum to zero
+def test_flow_scales():
+    assert _flow_scales(3, 1.0) == (math.exp(2.0), math.exp(-1.0))
     for n in range(2, 9):
-        assert sum(FlowSpec("g", n).exponents()) == 0
-        for d in range(1, n):
-            assert sum(FlowSpec("b", n, d=d).exponents()) == 0
-            assert sum(FlowSpec("c", n, d=d).exponents()) == 0
+        head, tail = _flow_scales(n, 0.7)
+        assert head * tail ** (n - 1) == pytest.approx(1.0, rel=1e-14)
+
+
+def _g(n, t):
+    head, tail = _flow_scales(n, t)
+    return np.diag([head] + [tail] * (n - 1))
 
 
 def test_g_factors_through_b_and_c():
     # c_t b_t = g_t as diagonal matrices, here at n=4, d=2, t=0.7
     t = 0.7
-    b = oracles.make_flow(FlowSpec("b", 4, d=2), t)
-    c = oracles.make_flow(FlowSpec("c", 4, d=2), t)
-    g = oracles.make_flow(FlowSpec("g", 4), t)
-    assert np.max(np.abs(c @ b - g)) < 1e-12
+    b = oracles.make_flow(oracles.flow_exponents("b", 4, 2), t)
+    c = oracles.make_flow(oracles.flow_exponents("c", 4, 2), t)
+    assert np.max(np.abs(c @ b - _g(4, t))) < 1e-12
 
 
 def test_g_factorization_all_shapes():
@@ -64,9 +50,9 @@ def test_g_factorization_all_shapes():
         n = int(rng.integers(2, 9))
         d = int(rng.integers(1, n))
         t = float(rng.uniform(-1.5, 1.5))
-        b = oracles.make_flow(FlowSpec("b", n, d=d), t)
-        c = oracles.make_flow(FlowSpec("c", n, d=d), t)
-        g = oracles.make_flow(FlowSpec("g", n), t)
+        b = oracles.make_flow(oracles.flow_exponents("b", n, d), t)
+        c = oracles.make_flow(oracles.flow_exponents("c", n, d), t)
+        g = _g(n, t)
         scale = np.maximum(np.abs(g), 1.0)
         assert np.max(np.abs(c @ b - g) / scale) < 1e-14
 

@@ -11,12 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from latflow import cli
+from latflow import cli, instability
 from latflow.errors import InputError, InvariantError
 from latflow.instability import (
     _affine_minimizer,
     kempf_optimum,
-    m_value,
     min_norm_point,
     parabolic_of,
     project_sum_zero,
@@ -97,14 +96,6 @@ def test_kempf_refuses_a_vector_of_the_wrong_size(argv, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_m_value_examples():
-    assert m_value([1, 0], (1, -1), "standard", 2) == 1
-    assert m_value([1, 0], (2, -2), "standard", 2) == 2  # homogeneous of degree 1
-    assert m_value([1, 1], (1, -1), "standard", 2) == -1
-    with pytest.raises(InputError):
-        m_value([0, 0], (1, -1), "standard", 2)
-
-
 def test_min_norm_point_matches_subset_oracle():
     rng = np.random.default_rng(60)
     for _ in range(30):
@@ -165,6 +156,16 @@ def test_kempf_single_vector_sl2():
     assert res.b2 == F(1, 2)
     assert res.lam_star == (1, -1)
     assert res.m_star == 1
+
+
+def test_kempf_reads_the_weight_support_once(monkeypatch):
+    """m* is the least pairing over the support the optimum already holds."""
+    calls = []
+    real = instability.weight_support
+    monkeypatch.setattr(instability, "weight_support",
+                        lambda *args: calls.append(args) or real(*args))
+    assert kempf_optimum([1, 2, 0], "standard", 3).m_star == 1
+    assert len(calls) == 1
 
 
 def test_kempf_decomposable_plane_sl4():
