@@ -15,8 +15,6 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import BudgetError, InputError, shown
 from .exact import ExactMatrix, ExactScalar
 
@@ -57,6 +55,7 @@ def _read_target(a):
     the integer form of an all-rational target, N = L A with L the lcm of
     the denominators, so the residual of q is dist(N q, L Z) / L exactly;
     form is None when an entry is a float or irrational."""
+    import numpy as np
     rows = a.rows if isinstance(a, ExactMatrix) else [list(row) for row in a]
     if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
         raise InputError("target must be a matrix (m >= 1 rows of one length l >= 1)")
@@ -141,6 +140,7 @@ def _shell_points(h: int, ell: int) -> np.ndarray:
     ones in [-h, h], so each pair appears once, as the member whose first
     coordinate of absolute value h is positive.
     """
+    import numpy as np
     inner, full = np.arange(1 - h, h), np.arange(-h, h + 1)
     faces = [
         np.stack(
@@ -162,6 +162,7 @@ def _scaled_target(form, qmax: int, ell: int):
     """form with N as an array: int64 while |N q| + L stays below 2^62 for
     every q up to qmax (and N itself when qmax is 0), and Python ints
     (object dtype) beyond; None for a float target."""
+    import numpy as np
     if form is None:
         return None
     nums, den = form
@@ -172,6 +173,7 @@ def _scaled_target(form, qmax: int, ell: int):
 def _residual_keys(qs: np.ndarray, af: np.ndarray, scaled) -> np.ndarray:
     """Rank key of max_i |A q + p|_i (p nearest) for each row q of qs: the
     float residual, or for a rational target its exact numerator over L."""
+    import numpy as np
     mat, den = scaled if scaled is not None else (af, None)
     # products laid out (m, k), so the max over the m rows runs across whole
     # rows rather than along a short axis; one column is an outer product
@@ -186,6 +188,7 @@ def _residual_keys(qs: np.ndarray, af: np.ndarray, scaled) -> np.ndarray:
 
 
 def _best_approx_1d(af, form, qmax) -> List[ApproxRecord]:
+    import numpy as np
     scaled = _scaled_target(form, qmax, 1)
     records: List[ApproxRecord] = []
     best = math.inf
@@ -211,6 +214,7 @@ def _record(af, scaled, h, q, key) -> ApproxRecord:
     residual is key / L correctly rounded and the record is an exact zero
     when the key is 0. A float target's residual is evaluated again in one
     product, as the batched key may differ from it in the last bits."""
+    import numpy as np
     q = tuple(int(c) for c in q)
     if scaled is not None:
         nums, den = scaled
@@ -536,6 +540,7 @@ def _lf_witness(af, rec: ApproxRecord, limit: float) -> ApproxRecord:
     """The record of the hit (residual <= limit) in rec's shell that comes
     first in lex order over +-q; rec itself when float rounding leaves the
     shell without a hit."""
+    import numpy as np
     qs = _shell_points(rec.qnorm, af.shape[1])
     keys = _residual_keys(qs, af, None)
     hits = np.flatnonzero(keys <= limit)

@@ -34,8 +34,6 @@ from fractions import Fraction
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import BudgetError, InputError, InvariantError
 from ..exact import ExactScalar
 from ..flows import Curve, curve_eval
@@ -81,6 +79,7 @@ def _head_value(form: Tuple[Sequence[int], int], z: Sequence[int]) -> float:
 
 def sample_ball(curve: Curve, samples: int, seed: int) -> List[Tuple[float, ...]]:
     """Deterministic uniform samples from the curve's parameter ball."""
+    import numpy as np
     pts = []
     k = curve.k
     for idx in range(samples):

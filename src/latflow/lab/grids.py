@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..errors import BudgetError, InputError
 
 DEFAULT_CELL_BUDGET = 20_000_000
@@ -33,6 +31,7 @@ class Grid3:
     """Shared (b, c) grid for one (t, box_radius) pair."""
 
     def __init__(self, t: float, box_radius: float, budget: int = DEFAULT_CELL_BUDGET):
+        import numpy as np
         if not box_radius > 0:
             raise InputError("box radius must be positive")
         if t < 0:
@@ -73,6 +72,7 @@ class Grid3:
         self.half_width = box_radius * math.exp(-2.0 * t)
 
     def lambda1_sup(self, v1: float, v2: float) -> float:
+        import numpy as np
         best = self.expand  # the (b, c) = 0 column: a = +-1 gives e^{2t}
         total = self.b_lam.shape[0]
         start = 0
@@ -94,6 +94,7 @@ class Grid3:
         return best
 
     def box_count(self, v1: float, v2: float) -> int:
+        import numpy as np
         y = v1 * self.b_box + v2 * self.c_box
         w = self.half_width
         na = np.floor(w - y) - np.ceil(-w - y) + 1.0

@@ -1,6 +1,7 @@
 """Best approximations, exponent fits, membership probes, Dirichlet systems."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,9 @@ from latflow.dioph import (
     w_probe,
 )
 from latflow.errors import BudgetError, InputError
-from latflow.exact import ExactMatrix
+from latflow.exact import ExactMatrix, ExactScalar
+from latflow.lab.experiments import _flow_reduce, _flow_stats, _head_form
+from latflow.lab.reduction import DEFAULT_NODE_BUDGET
 
 SQRT2M1 = math.sqrt(2) - 1
 
@@ -529,3 +532,29 @@ def test_generic_point_not_singular():
         (SQRT2M1, math.sqrt(3) - 1), "vect", deltas=(0.05,), t_grid=(2.0, 4.0, 8.0)
     )
     assert not singular
+
+
+def test_lf_rows_follow_the_dani_correspondence():
+    """|q . x + p| <= delta T^-n has a solution with 0 < ||q|| <= T exactly
+    when g_t u(x) Z^N, N = n + 1, t = log T - (log delta) / N, has lambda_1
+    <= delta^(1/N): the flow's e^(nt) and e^-t turn the two bounds into
+    one. The walk and the flow kernel share no code past the target."""
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(60):
+        x = [rng.random() for _ in range(rng.choice((1, 2)))]
+        big_ts = sorted(rng.uniform(1.5, 21) for _ in range(4))
+        deltas = (0.3, 0.6, 0.9, 1.0)
+        reports, _ = probe_singular(x, "lf", deltas, big_ts)
+        big_n = len(x) + 1
+        form = _head_form([ExactScalar(Fraction(v)) for v in x])
+        for delta, rep in zip(deltas, reports):
+            for big_t, row in zip(big_ts, rep.rows):
+                t = math.log(big_t) - math.log(delta) / big_n
+                lam1 = _flow_stats(form, big_n, t, 1.0, DEFAULT_NODE_BUDGET,
+                                   _flow_reduce(form, big_n, t))[0]
+                bound = delta ** (1 / big_n)
+                assert abs(lam1 - bound) > 1e-9 * bound, (x, delta, big_t)
+                assert row.solvable == (lam1 <= bound), (x, delta, big_t, lam1)
+                checked += 1
+    assert checked == 960

@@ -400,3 +400,26 @@ def test_reductions_follow_the_unit_step_schedule(monkeypatch, grid, per_sample)
     assert len(calls) == 2 * per_sample
     # only Z_1 and the times below 1 start from the identity
     assert calls.count(True) == 2 * (1 + sum(1 for t in t_grid if t < 1))
+
+
+def _negated(curve):
+    """phi -> -phi: every coefficient negated."""
+    coords = [[(exps, -coeff) for exps, coeff in poly] for poly in curve.coords]
+    return Curve(n=curve.n, k=curve.k, coords=coords, center=curve.center, radius=curve.radius)
+
+
+def _reversed_tail(curve):
+    """The tail coordinates phi_1, ..., phi_(n-1) in reverse order."""
+    return Curve(n=curve.n, k=curve.k, coords=curve.coords[::-1], center=curve.center,
+                 radius=curve.radius)
+
+
+@pytest.mark.parametrize("curve", [_parabola(), _moment(4)], ids=["parabola", "moment4"])
+@pytest.mark.parametrize("change", [_negated, _reversed_tail])
+def test_a_symmetry_of_the_tail_leaves_every_row(curve, change):
+    """phi -> -phi and a permutation of phi's coordinates map g_t u(phi) Z^n
+    onto g_t u(phi') Z^n by a signed permutation of the tail coordinates,
+    which keeps the sup norm, so every row is the base curve's bit for bit."""
+    kw = dict(t_grid=[0.5, 1.0, 2.5, 4.0, 6.0], samples=40, eps=0.1, box_radius=1.0, seed=3)
+    base = translate_experiment(curve, **kw)
+    assert translate_experiment(change(curve), **kw).rows == base.rows

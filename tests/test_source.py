@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -10,29 +11,46 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "latflow"
 
 
+def _own_imports(scope):
+    """The imports a module or function runs itself: those in its body,
+    class bodies included, but not those of the functions defined in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def _unused_imports(path):
-    """Names a module imports but never reads. A name listed in __all__ is
-    a re-export, and a line marked `noqa: F401` is kept on purpose."""
+    """Names a module or a function imports but never reads in its own
+    scope, which for a function takes in the functions nested in it. A
+    name listed in __all__ is a re-export, and a line marked `noqa: F401`
+    is kept on purpose."""
     text = path.read_text()
     tree = ast.parse(text)
     lines = text.splitlines()
-    imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            if "noqa: F401" in lines[node.lineno - 1]:
-                continue
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                imported[name] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(e.value for e in node.value.elts)
-    return sorted(f"{path.relative_to(SRC.parent)}:{line} {name}"
-                  for name, line in imported.items() if name not in used)
+            exported.update(e.value for e in node.value.elts)
+    unused = []
+    for scope in [tree] + [node for node in ast.walk(tree)
+                           if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]:
+        read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+        if scope is tree:
+            read |= exported
+        for node in _own_imports(scope):
+            if (isinstance(node, ast.ImportFrom) and node.module == "__future__"
+                    or "noqa: F401" in lines[node.lineno - 1]):
+                continue
+            unused += [f"{path.relative_to(SRC.parent)}:{node.lineno} {name}"
+                       for name in (alias.asname or alias.name.split(".")[0]
+                                    for alias in node.names)
+                       if name not in read]
+    return sorted(unused)
 
 
 def test_no_unused_imports():
@@ -42,20 +60,37 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _numpy_imports(name, nodes):
+    """Each import among nodes that loads numpy, as 'name:line module'."""
+    found = []
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            mods = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            mods = [node.module or ""]
+        else:
+            continue
+        found += [f"{name}:{node.lineno} {m}" for m in mods if m.split(".")[0] == "numpy"]
+    return found
+
+
 def test_lattice_layer_imports_no_numpy():
     """The reduction and the descent take and return bases as lists of
     float columns, so they import no numpy."""
     found = []
     for name in ("reduction.py", "descent.py"):
-        path = SRC / "lab" / name
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                mods = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                mods = [node.module or ""]
-            else:
-                continue
-            found += [f"{name}:{node.lineno} {m}" for m in mods if m.split(".")[0] == "numpy"]
+        found += _numpy_imports(name, ast.walk(ast.parse((SRC / "lab" / name).read_text())))
+    assert found == []
+
+
+def test_no_module_imports_numpy_when_it_is_imported():
+    """numpy is imported inside the functions that compute with it, never
+    at module level (class bodies included), so a command that needs none
+    of them starts without it."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        found += _numpy_imports(path.relative_to(SRC.parent),
+                                _own_imports(ast.parse(path.read_text())))
     assert found == []
 
 
@@ -100,14 +135,55 @@ def test_dioph_builds_records_in_one_place():
     assert len(inside) > 2 and found == []
 
 
-def test_cli_import_leaves_sympy_off_the_path():
-    """Heavy symbolic dependencies stay out of every command's start-up."""
+# Commands that compute with integers and Fractions alone, so they run
+# without numpy; the dioph ext block is 2 x 6 (n = 8).
+NUMPY_FREE_COMMANDS = [
+    "roots build --family C --rank 4",
+    "roots check --all --max-rank 3",
+    "dioph ext --n 8 --a 1,2,3/4,r2,5,1-r2;2,-1,1/5,3,2r2,4",
+    "kempf --v 1,2,0 --rep standard --n 3",
+    "kempf --v 1,2,0,0,0,0 --rep wedge2 --n 4",
+    "kempf --v 0,1;0,0 --rep adjoint --n 2",
+    "sim example --n 6 --r 3 --D 2",
+]
+
+_RUN_COMMANDS = """
+import contextlib, io, json, sys
+import latflow.cli as cli
+heavy = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'sympy', 'mpmath'))
+if sys.argv[1] == 'block':
+    sys.modules['numpy'] = None  # every later numpy import raises ImportError
+runs = []
+for command in sys.argv[2:]:
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            runs.append([cli.main(command.split()), out.getvalue()])
+    except Exception as exc:
+        runs.append([repr(exc), out.getvalue()])
+print(json.dumps([heavy, runs]))
+"""
+
+
+def _run_commands(mode):
+    """(heavy modules loaded by `import latflow.cli`, [exit code or
+    exception, stdout] of each numpy-free command) in a fresh interpreter,
+    with numpy made unimportable after the import when mode is 'block'."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    code = ("import sys, latflow.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('sympy', 'mpmath')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=120, check=True).stdout
-    assert out.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", _RUN_COMMANDS, mode, *NUMPY_FREE_COMMANDS],
+                         capture_output=True, text=True, env=env, timeout=300,
+                         check=True).stdout
+    return json.loads(out)
+
+
+def test_cli_start_up_leaves_numpy_and_sympy_off_the_path():
+    """Heavy dependencies stay out of every command's start-up: importing
+    latflow.cli loads no numpy, sympy or mpmath, and the commands that need
+    no numpy print the same stdout when any numpy import raises."""
+    heavy, blocked = _run_commands("block")
+    assert heavy == []
+    assert blocked == _run_commands("plain")[1]
+    assert all(code == 0 and text for code, text in blocked)
 
 
 def test_traced_names_resolve_after_the_cli_import():
