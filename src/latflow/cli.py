@@ -70,10 +70,13 @@ def _co_budget(raw) -> int:
 
 
 def _co_float(raw) -> float:
+    # a JSON true or false is not the number 1 or 0
     try:
-        return float(raw)
+        if not isinstance(raw, bool):
+            return float(raw)
     except (TypeError, ValueError, OverflowError):
-        raise InputError(f"expected a number, got {raw!r}")
+        pass
+    raise InputError(f"expected a number, got {raw!r}")
 
 
 def _co_str(raw) -> str:
@@ -345,9 +348,9 @@ def _run_dioph_approx(v) -> int:
     dioph.check_exponent(r, v["qmax"])
     records = dioph.best_approximations(a, v["qmax"], budget=v["budget"])
     lines = ["qnorm,q,p,residual,quality"]
-    for row in dioph.records_to_rows(records, r):
-        lines.append(f"{row['qnorm']},{row['q']},{row['p']},"
-                     f"{row['residual']!r},{row['quality']!r}")
+    for rec in records:
+        lines.append(f"{rec.qnorm},{';'.join(map(str, rec.q))},{';'.join(map(str, rec.p))},"
+                     f"{rec.residual!r},{rec.quality(r)!r}")
     _emit_text("\n".join(lines) + "\n", v["out"])
     return 0
 
@@ -471,25 +474,23 @@ def _run_sim_translate(v) -> int:
     else:
         sys.stdout.write(report.csv_text())
     if v["aggregates"]:
-        report.write_aggregates(v["aggregates"])
-        print(f"wrote {v['aggregates']}")
+        _emit_json(report.aggregates_payload(), v["aggregates"])
     return 0
 
 
 SIM_EXAMPLE_OPTS = [
-    Opt("n", _co_int, "ambient dimension (must equal r * m)", required=True),
+    Opt("n", _co_int, "ambient dimension (must equal 2r)", required=True),
     Opt("r", _co_int, "rank of the subspace over the field", required=True),
-    Opt("m", _co_int, "field degree (only 2 is supported)", default=2),
     Opt("D", _co_int, "squarefree integer in [2, 10^12] defining the field", required=True),
     _OUT,
 ]
 
 
 def _run_sim_example(v) -> int:
-    ex = quadratic_subspace_example(v["n"], v["r"], v["m"], v["D"])
+    ex = quadratic_subspace_example(v["n"], v["r"], v["D"])
     payload = curve_to_json(ex.curve)
     payload["r"] = ex.r
-    payload["m"] = v["m"]
+    payload["m"] = 2  # the field degree
     payload["D"] = ex.d_field
     payload["l0_inv"] = _show_matrix(ex.l0_inv)
     payload["l0"] = _show_matrix(ex.l0)

@@ -242,19 +242,6 @@ def check_exponent(r: float, qmax: int) -> None:
                          "qmax**r overflows a double") from None
 
 
-def records_to_rows(records: Sequence[ApproxRecord], r: float) -> List[dict]:
-    return [
-        {
-            "qnorm": rec.qnorm,
-            "q": ";".join(str(c) for c in rec.q),
-            "p": ";".join(str(c) for c in rec.p),
-            "residual": rec.residual,
-            "quality": rec.quality(r),
-        }
-        for rec in records
-    ]
-
-
 def exponent_fit(records: Sequence[ApproxRecord]):
     """Slope of -log(residual) against log ||q|| over the successive minima.
 

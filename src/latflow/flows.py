@@ -78,6 +78,10 @@ class Curve:
             raise FlowError(f"center must be finite, got {self.center}")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise FlowError(f"radius must be positive and finite, got {self.radius}")
+        # a sample is center + radius * x with |x_i| <= 1: it must stay a finite double
+        if not all(math.isfinite(abs(c) + self.radius) for c in self.center):
+            raise FlowError(f"|center| + radius must be finite, got center {self.center} "
+                            f"and radius {self.radius}")
 
 
 def curve_eval(curve: Curve, s: Sequence) -> List[ExactScalar]:

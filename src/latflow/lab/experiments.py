@@ -25,7 +25,6 @@ config and seed regardless of evaluation order.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import tempfile
@@ -248,10 +247,6 @@ class ExperimentReport:
 
     def write_csv(self, path: str) -> None:
         atomic_write_text(path, self.csv_text())
-
-    def write_aggregates(self, path: str) -> None:
-        text = json.dumps(self.aggregates_payload(), indent=2, sort_keys=True)
-        atomic_write_text(path, text + "\n")
 
 
 def atomic_write_text(path: str, text: str) -> None:

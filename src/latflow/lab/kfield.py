@@ -33,18 +33,16 @@ class QuadraticExample:
     span: AffineSpanData
 
 
-def quadratic_subspace_example(n: int, r: int, m: int, D: int) -> QuadraticExample:
+def quadratic_subspace_example(n: int, r: int, D: int) -> QuadraticExample:
     """Base-change matrix and trapped line for the field Q(sqrt(D)).
 
-    Requires n = r*m with m = 2 (only quadratic fields are supported),
-    r >= 2, and D >= 2 squarefree up to exact.MAX_RADICAND.
+    Requires n = 2r (the field has degree 2), r >= 2, and D >= 2
+    squarefree up to exact.MAX_RADICAND.
     """
-    if m != 2:
-        raise InputError(f"unsupported field degree m={m}; only m=2 is implemented")
     if r < 2:
         raise InputError(f"need r >= 2, got {r}")
-    if n != r * m:
-        raise InputError(f"n must equal r*m; got n={n}, r*m={r * m}")
+    if n != 2 * r:
+        raise InputError(f"n must equal 2r; got n={n}, 2r={2 * r}")
 
     rt = ExactScalar.sqrt(D)  # refuses a D that is not squarefree or above the bound
     one = ExactScalar(1)

@@ -26,10 +26,11 @@ later row.  A sweep at k recomputes rows valid..k with the routine that
 gram_schmidt runs: the same float operations on the same inputs as a full
 pass, so the result is bit-identical to recomputing in every sweep.
 
-reduce_embedded can start from a given unimodular transform instead of
-the identity.  The flow experiments reduce g_t u(phi) Z^n from the basis
-reduced one unit of time earlier, which is nearly reduced already, so a
-reduction takes few sweeps at any t.
+reduce_embedded is the one LLL routine; lll_with_transform adapts a list
+of columns to it.  It can start from a given unimodular transform instead
+of the identity.  The flow experiments reduce g_t u(phi) Z^n from the
+basis reduced one unit of time earlier, which is nearly reduced already,
+so a reduction takes few sweeps at any t.
 
 The flow experiments need two numbers per lattice, the sup-norm first
 minimum and the box count; sup_first_minimum gets both from one walk of
@@ -110,9 +111,9 @@ def gram_schmidt(cols: Sequence[Column]) -> Tuple[List[List[float]], List[List[f
     return bstar, mu, norms2
 
 
-def _lll_core(
-    ncols: int,
+def reduce_embedded(
     embed: Callable[[List[int]], Column],
+    ncols: int,
     start: Optional[Sequence[Sequence[int]]] = None,
 ) -> Tuple[List[List[int]], Columns]:
     """Run LLL on the lattice spanned by embed(e_0), ..., embed(e_{ncols-1}).
@@ -165,8 +166,8 @@ def _lll_core(
 
 
 def lll_with_transform(cols: Sequence[Column]) -> Tuple[List[List[int]], Columns]:
-    """LLL-reduce the columns; returns (z, b) as _lll_core does, with each
-    reduced column b[i] the fsum of the basis rows times z[i]."""
+    """LLL-reduce the columns; returns (z, b) as reduce_embedded does, with
+    each reduced column b[i] the fsum of the basis rows times z[i]."""
     m = len(cols)
     n = len(cols[0]) if m and isinstance(cols[0], Sequence) else 0
     if not all(isinstance(col, Sequence) and len(col) == n for col in cols):
@@ -179,7 +180,7 @@ def lll_with_transform(cols: Sequence[Column]) -> Tuple[List[List[int]], Columns
     def embed(zcol: List[int]) -> List[float]:
         return [fsum(map(mul, row, zcol)) for row in rows]
 
-    return _lll_core(m, embed)
+    return reduce_embedded(embed, m)
 
 
 def _walk(cols: Sequence[Column], radius: float, budget: int,
@@ -260,21 +261,6 @@ def enumerate_ball(
     out: List[List[int]] = []
     _walk(cols, radius, budget, lambda z: out.append(z.copy()))
     return out
-
-
-def reduce_embedded(
-    embed: Callable[[List[int]], Column],
-    ncols: int,
-    start: Optional[Sequence[Sequence[int]]] = None,
-) -> Tuple[List[List[int]], Columns]:
-    """LLL on the lattice spanned by embed(e_i), from the identity or from
-    the unimodular transform start; see _lll_core.
-
-    The callback is re-applied to the integer coordinates after every
-    column operation, so a basis with a huge dynamic range stays accurate
-    as long as the callback itself evaluates exactly.
-    """
-    return _lll_core(ncols, embed, start)
 
 
 def sup_first_minimum(

@@ -129,7 +129,7 @@ def test_criterion_05_trapping_on_a_quadratic_field_line():
     running minimum stabilizes (last-quarter min >= 0.8 x global min), and
     the mean Siegel count deviates from (2R)^4 by >= 25 percent at every
     t >= 4.  Checked under both seed 5 and seed 105."""
-    ex = quadratic_subspace_example(4, 2, 2, 2)
+    ex = quadratic_subspace_example(4, 2, 2)
     t_grid = [float(t) for t in range(9)]
     for seed in (5, 105):
         rep = translate_experiment(

@@ -126,12 +126,16 @@ PARABOLA_JSON = ('{"n": 3, "k": 1, "coords": [{"monomials": [{"exps": [1], "coef
     (PARABOLA_JSON % ', "radius": 1e999', "radius must be positive and finite, got inf"),
     (PARABOLA_JSON % ', "center": [-1e999]', "center must be finite, got [-inf]"),
     (PARABOLA_JSON % ', "center": [NaN]', "center must be finite, got [nan]"),
-], ids=["empty", "not-json", "long-int", "inf-radius", "inf-center", "nan-center"])
+    (PARABOLA_JSON % ', "center": [1e308], "radius": 1e308',
+     "|center| + radius must be finite, got center [1e+308] and radius 1e+308"),
+], ids=["empty", "not-json", "long-int", "inf-radius", "inf-center", "nan-center",
+        "ball-beyond-doubles"])
 @pytest.mark.parametrize("dry", [[], ["--dry-run"]], ids=["run", "dry-run"])
 def test_a_bad_curve_file_exits_2_naming_it(text, named, dry, tmp_path, capsys):
     """A curve file that is no JSON, holds an integer beyond the int-string
-    limit, or gives a radius or center that is not finite exits 2 with one
-    line naming the file, before any sample and in a dry run too."""
+    limit, gives a radius or center that is not finite, or a parameter ball
+    that reaches beyond the doubles exits 2 with one line naming the file,
+    before any sample and in a dry run too."""
     curve, out = tmp_path / "bad.json", tmp_path / "out.csv"
     curve.write_text(text)
     assert cli.main(["sim", "translate", "--curve", str(curve), "--t", "1", "--samples",
@@ -486,8 +490,7 @@ COMMANDS = {
     ("roots", "build"): {"family": ("C", NAME), "rank": ("2", INT)},
     ("roots", "check"): {"family": ("A", NAME), "rank": ("2", INT), "weight": ("1", INT),
                          "all": (None, st.just(True)), "max_rank": ("2", INT)},
-    ("sim", "example"): {"n": ("4", INT), "r": ("2", INT), "m": ("2", INT),
-                         "D": ("2", INT)},
+    ("sim", "example"): {"n": ("4", INT), "r": ("2", INT), "D": ("2", INT)},
     ("sim", "translate"): {"curve": ("CURVE", st.just("CURVE")), "t": ("1,2", NUMBER_LIST),
                            "samples": ("2", INT), "seed": ("1", INT),
                            "radius": ("1.5", NUMBER), "eps": ("0.1", NUMBER),
@@ -540,6 +543,15 @@ def test_cli_input_edges_exit_cleanly(edge_dir, call):
     assert cli.main(argv) in ((2,) if fails else (0, 2, 3))
 
 
+def _valid_argv(command, left_out, edge_dir):
+    """The command with every option but left_out at its valid value."""
+    argv = list(command)
+    for other, (valid, _) in COMMANDS[command].items():
+        if other != left_out and valid is not None:
+            argv.append(f"--{other.replace('_', '-')}={valid}")
+    return [a.replace("CURVE", str(edge_dir / "p.json")) for a in argv]
+
+
 # every integer option of the commands above, by command
 INT_OPTIONS = [(command, opt.name) for command in sorted(COMMANDS)
                for opt in cli.build_parser().parse_args(list(command)).opts
@@ -549,15 +561,28 @@ INT_OPTIONS = [(command, opt.name) for command in sorted(COMMANDS)
 @pytest.mark.parametrize("command, name", INT_OPTIONS)
 def test_non_integral_config_number_exits_2(command, name, edge_dir, capsys):
     """A JSON float from --config is not truncated to an integer option."""
-    argv = list(command)
-    for other, (valid, _) in COMMANDS[command].items():
-        if other != name and valid is not None:
-            argv.append(f"--{other.replace('_', '-')}={valid}")
-    argv = [a.replace("CURVE", str(edge_dir / "p.json")) for a in argv]
+    argv = _valid_argv(command, name, edge_dir)
     cfg = edge_dir / "int.json"
     cfg.write_text(json.dumps({name: 2.9}))
     assert cli.main(argv + ["--config", str(cfg)]) == 2
     assert capsys.readouterr().err == "error: expected an integer, got 2.9\n"
+
+
+# every float and float-list option of the commands above, by command
+FLOAT_OPTIONS = [(command, opt.name, opt.coerce is cli._co_float_list)
+                 for command in sorted(COMMANDS)
+                 for opt in cli.build_parser().parse_args(list(command)).opts
+                 if opt.coerce in (cli._co_float, cli._co_float_list)]
+
+
+@pytest.mark.parametrize("command, name, listed", FLOAT_OPTIONS)
+def test_boolean_config_number_exits_2(command, name, listed, edge_dir, capsys):
+    """A JSON true from --config is not the number 1, alone or in a list."""
+    argv = _valid_argv(command, name, edge_dir)
+    cfg = edge_dir / "bool.json"
+    cfg.write_text(json.dumps({name: [True] if listed else True}))
+    assert cli.main(argv + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: expected a number, got True\n"
 
 
 def test_integral_config_number_is_an_integer(tmp_path, capsys):

@@ -20,7 +20,6 @@ from latflow.dioph import (
     exponent_estimate,
     probe_singular,
     rational_certificate,
-    records_to_rows,
     w_probe,
 )
 from latflow.errors import BudgetError, InputError
@@ -199,8 +198,6 @@ def test_budget_is_enforced():
 def test_quality_scaling():
     rec = ApproxRecord(qnorm=4, q=(4,), p=(-1,), residual=0.5)
     assert rec.quality(2.0) == 0.5 * 16
-    rows = records_to_rows([rec], 2.0)
-    assert rows[0]["qnorm"] == 4 and rows[0]["quality"] == 8.0
 
 
 def test_exponent_for_badly_approximable():

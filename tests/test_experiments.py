@@ -24,6 +24,7 @@ from latflow.lab.experiments import (
     sample_ball,
     translate_experiment,
 )
+from latflow.lab.kfield import quadratic_subspace_example
 from latflow.lab.reduction import DEFAULT_NODE_BUDGET
 
 
@@ -206,16 +207,6 @@ def test_a_huge_center_or_radius_gives_the_integral_lattice():
     for curve in (centred, _parabola(radius=1e308)):
         rep = translate_experiment(curve, [1.0], samples=2, eps=0.1, box_radius=1.5, seed=1)
         assert [(r.lambda1, r.siegel_count) for r in rep.rows] == [(math.exp(-1), 80)] * 2
-
-
-def test_an_integer_shift_of_the_curve_leaves_every_row():
-    """u(phi) Z^n depends on phi mod Z^(n-1): the parabola shifted by 10^21
-    in both coordinates gives the plain parabola's rows, bit for bit."""
-    one, big = ExactScalar(1), ExactScalar(10**21)
-    shifted = Curve(n=3, k=1, coords=[[((1,), one), ((0,), big)], [((2,), one), ((0,), big)]])
-    reps = [translate_experiment(c, [1.0], samples=20, eps=0.1, box_radius=1.5, seed=1)
-            for c in (_parabola(), shifted)]
-    assert reps[1].rows == reps[0].rows
 
 
 def test_a_first_minimum_above_minkowski_bound_raises(monkeypatch):
@@ -414,7 +405,29 @@ def _reversed_tail(curve):
                  radius=curve.radius)
 
 
-@pytest.mark.parametrize("curve", [_parabola(), _moment(4)], ids=["parabola", "moment4"])
+def _shifted(curve, coords):
+    """10^21 added to each coordinate phi_j with j in coords."""
+    big = ((0,) * curve.k, ExactScalar(10**21))
+    shifted = [poly + [big] if j in coords else poly for j, poly in enumerate(curve.coords)]
+    return Curve(n=curve.n, k=curve.k, coords=shifted, center=curve.center,
+                 radius=curve.radius)
+
+
+@pytest.mark.parametrize("curve, coords", [
+    (_parabola(), (0, 1)), (_parabola(), (0,)), (_parabola(), (1,)),
+    (_moment(4), (0,)), (_moment(4), (1,)), (_moment(4), (2,)),
+], ids=["parabola-both", "parabola-0", "parabola-1", "moment4-0", "moment4-1", "moment4-2"])
+def test_an_integer_shift_of_the_curve_leaves_every_row(curve, coords):
+    """u(phi) Z^n depends on phi mod Z^(n-1): the curve shifted by 10^21 in
+    one coordinate or in all gives the plain curve's rows, bit for bit."""
+    reps = [translate_experiment(c, [1.0], samples=20, eps=0.1, box_radius=1.5, seed=1)
+            for c in (curve, _shifted(curve, coords))]
+    assert reps[1].rows == reps[0].rows
+
+
+@pytest.mark.parametrize("curve", [_parabola(), _moment(4), _moment(6),
+                                   quadratic_subspace_example(4, 2, 2).curve],
+                         ids=["parabola", "moment4", "moment6", "q2-line"])
 @pytest.mark.parametrize("change", [_negated, _reversed_tail])
 def test_a_symmetry_of_the_tail_leaves_every_row(curve, change):
     """phi -> -phi and a permutation of phi's coordinates map g_t u(phi) Z^n

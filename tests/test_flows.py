@@ -134,6 +134,19 @@ def test_curve_validation():
         Curve(n=3, k=2, coords=[[((1,), ExactScalar(1))], []])  # arity 1 != k
 
 
+def test_a_parameter_ball_beyond_the_doubles_is_refused():
+    """A sample is center + radius * x with |x_i| <= 1, so every
+    |center_i| + radius must be a finite double; center or radius alone at
+    1e308 is fine."""
+    one = ExactScalar(1)
+    for k, center in ((1, [1e308]), (1, [-1e308]), (2, [0.0, 1e308])):
+        coords = [[(tuple(int(i == j) for i in range(k)), one)] for j in range(2)]
+        with pytest.raises(FlowError, match=r"\|center\| \+ radius must be finite"):
+            Curve(n=3, k=k, coords=coords, center=center, radius=1e308)
+        assert Curve(n=3, k=k, coords=coords, center=center, radius=1.0).radius == 1.0
+    assert Curve(n=3, k=1, coords=[[((1,), one)], [((2,), one)]], radius=1e308).center == [0.0]
+
+
 def test_curve_json_round_trip(tmp_path):
     c = _line_third()
     data = curve_to_json(c)

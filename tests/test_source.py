@@ -186,6 +186,16 @@ def test_cli_start_up_leaves_numpy_and_sympy_off_the_path():
     assert all(code == 0 and text for code, text in blocked)
 
 
+def test_importing_the_package_loads_no_submodule():
+    """latflow/__init__.py re-exports nothing, so `import latflow` in a fresh
+    interpreter loads no latflow.* module: a caller loads what it imports."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = "import sys, latflow; print(sorted(m for m in sys.modules if m.startswith('latflow.')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_traced_names_resolve_after_the_cli_import():
     """Every function, method and scalar operation that perfbench/tracing.py
     wraps is found where its install() looks: in sys.modules once latflow.cli
