@@ -189,25 +189,14 @@ def _co_rep(raw):
     raise InputError(f"unknown representation {s!r}; use standard, adjoint or wedgeK")
 
 
-def _co_target(raw) -> str:
-    s = _co_str(raw)
-    if s not in ("W", "Wprime"):
-        raise InputError(f"target must be W or Wprime, got {s!r}")
-    return s
-
-
-def _co_form(raw) -> str:
-    s = _co_str(raw)
-    if s not in ("vect", "lf"):
-        raise InputError(f"form must be vect or lf, got {s!r}")
-    return s
-
-
-def _co_family(raw) -> str:
-    s = _co_str(raw).upper()
-    if s not in ("A", "B", "C", "D"):
-        raise InputError(f"family must be one of A, B, C, D, got {raw!r}")
-    return s
+def _choice(name: str, *values: str, fold=str) -> Callable:
+    """A coercer taking a string that, after fold, is one of values."""
+    def coerce(raw) -> str:
+        s = fold(_co_str(raw))
+        if s not in values:
+            raise InputError(f"{name} must be one of {', '.join(values)}, got {raw!r}")
+        return s
+    return coerce
 
 
 @dataclass(frozen=True)
@@ -232,33 +221,12 @@ class Opt:
     required: bool = False
     default: object = None
     flag: bool = False
-    show: Optional[Callable] = None
-
-
-def _show_matrix(m):
-    if isinstance(m, ExactMatrix):
-        return [[x.serialize() for x in row] for row in m.rows]
-    return [[float(x) for x in row] for row in m]
-
-
-def _show_fracs(v):
-    if v and isinstance(v[0], list):
-        return [[str(x) for x in row] for row in v]
-    return [str(x) for x in v]
-
-
-def _show_rep(rep):
-    return rep if isinstance(rep, str) else f"wedge{rep[1]}"
-
-
-def _show_curve(lc: _LoadedCurve):
-    return {"path": lc.path, "n": lc.curve.n, "k": lc.curve.k}
 
 
 _OUT = Opt("out", _co_str, "write the result to this path instead of stdout")
 _TARGET = Opt("a", _target_matrix, "target matrix: rows ';'-separated, entries "
               "','-separated; decimal entries are searched as floats, p/q and rN "
-              "forms exactly", required=True, show=_show_matrix)
+              "forms exactly", required=True)
 _BUDGET = Opt("budget", _co_budget, "enumeration budget",
               default=dioph.DEFAULT_ENUM_BUDGET)
 
@@ -273,8 +241,8 @@ def _add_opt(parser: argparse.ArgumentParser, opt: Opt) -> None:
 
 
 def _resolve(args, opts: Sequence[Opt], command: str):
-    """Merge config file and flags (flags win), coerce, and build both the
-    rich value dict and the JSON-safe plan used by --dry-run."""
+    """Merge config file and flags (flags win) and coerce: the value of
+    every option by name."""
     cfg = {}
     if args.config is not None:
         with open(args.config) as fh:
@@ -290,7 +258,6 @@ def _resolve(args, opts: Sequence[Opt], command: str):
             raise InputError(f"config keys not understood by '{command}': "
                              + ", ".join(unknown))
     values = {}
-    plan = {}
     for opt in opts:
         raw = getattr(args, opt.name, None)
         if raw is None:
@@ -304,14 +271,29 @@ def _resolve(args, opts: Sequence[Opt], command: str):
         else:
             value = opt.coerce(raw)
         values[opt.name] = value
-        if value is None:
-            plan[opt.name] = None
-        else:
-            plan[opt.name] = opt.show(value) if opt.show else value
-    return values, plan
+    return values
 
 
 # -- output helpers -----------------------------------------------------------
+
+
+def _plain(value):
+    """value as JSON: an exact matrix by its serialized rows, a Fraction as
+    its string, a loaded curve by its path and shape, a ("wedge", k)
+    representation as wedgeK, and lists and dicts entry by entry."""
+    if isinstance(value, ExactMatrix):
+        return [[x.serialize() for x in row] for row in value.rows]
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, _LoadedCurve):
+        return {"path": value.path, "n": value.curve.n, "k": value.curve.k}
+    if isinstance(value, tuple) and value[:1] == ("wedge",):
+        return f"wedge{value[1]}"
+    if isinstance(value, list):
+        return [_plain(x) for x in value]
+    if isinstance(value, dict):
+        return {k: _plain(x) for k, x in value.items()}
+    return value
 
 
 def _emit_text(text: str, out: Optional[str]) -> None:
@@ -373,8 +355,7 @@ def _run_dioph_exponent(v) -> int:
 DIOPH_EXT_OPTS = [
     Opt("n", _co_int, "ambient dimension (the block has n-2 columns)",
         required=True),
-    Opt("a", _co_matrix, "2 x (n-2) block: rows ';'-separated", required=True,
-        show=_show_matrix),
+    Opt("a", _co_matrix, "2 x (n-2) block: rows ';'-separated", required=True),
     _OUT,
 ]
 
@@ -396,8 +377,8 @@ DIOPH_PROBE_OPTS = [
     _TARGET,
     Opt("r", _co_float, "approximation exponent of the set probed", required=True),
     Opt("qmax", _co_int, "largest sup norm of q searched", required=True),
-    Opt("target", _co_target, "W (fixed constant) or Wprime (arbitrarily small)",
-        default="W"),
+    Opt("target", _choice("target", "W", "Wprime"),
+        "W (fixed constant) or Wprime (arbitrarily small)", default="W"),
     Opt("c", _co_float, "constant for the W inequality (W only; Wprime "
         "ignores it)", default=1.0),
     _BUDGET,
@@ -416,8 +397,8 @@ def _run_dioph_probe(v) -> int:
 
 DIRICHLET_OPTS = [
     Opt("x", _co_float_list, "target vector, comma separated", required=True),
-    Opt("form", _co_form, "vect (scalar q, vector p) or lf (vector q, scalar p)",
-        default="vect"),
+    Opt("form", _choice("form", "vect", "lf"),
+        "vect (scalar q, vector p) or lf (vector q, scalar p)", default="vect"),
     Opt("delta", _co_float_list,
         "improvement factor(s) in (0,1]; several run one probe per value",
         required=True),
@@ -448,8 +429,7 @@ def _run_dirichlet(v) -> int:
 # -- sim ----------------------------------------------------------------------
 
 SIM_TRANSLATE_OPTS = [
-    Opt("curve", _co_curve, "path to a curve JSON file", required=True,
-        show=_show_curve),
+    Opt("curve", _co_curve, "path to a curve JSON file", required=True),
     Opt("t", _co_float_list, "comma list of flow times", required=True),
     Opt("samples", _co_int, "number of parameter samples", required=True),
     Opt("seed", _co_int, "RNG seed (required: runs are reproducible)",
@@ -492,14 +472,9 @@ def _run_sim_example(v) -> int:
     payload["r"] = ex.r
     payload["m"] = 2  # the field degree
     payload["D"] = ex.d_field
-    payload["l0_inv"] = _show_matrix(ex.l0_inv)
-    payload["l0"] = _show_matrix(ex.l0)
-    payload["span"] = {
-        "d": ex.span.d,
-        "order": list(ex.span.order),
-        "pivots": list(ex.span.pivots),
-        "matrix": _show_matrix(ex.span.matrix) if ex.span.matrix is not None else None,
-    }
+    payload["l0_inv"] = _plain(ex.l0_inv)
+    payload["l0"] = _plain(ex.l0)
+    payload["span"] = _plain(vars(ex.span))
     _emit_json(payload, v["out"])
     return 0
 
@@ -509,9 +484,9 @@ def _run_sim_example(v) -> int:
 KEMPF_OPTS = [
     Opt("v", _co_frac_rows,
         "the vector (comma list; ';' rows for the adjoint matrix)",
-        required=True, show=_show_fracs),
+        required=True),
     Opt("rep", _co_rep, "standard, wedgeK (e.g. wedge2) or adjoint",
-        default="standard", show=_show_rep),
+        default="standard"),
     Opt("n", _co_int, "rank parameter of the group", required=True),
     _OUT,
 ]
@@ -527,11 +502,11 @@ def _run_kempf(v) -> int:
                                  "(';'-separated rows)")
             vec = [vec[i * n:(i + 1) * n] for i in range(n)]
     elif nested:
-        raise InputError(f"representation {_show_rep(rep)} takes a flat vector")
+        raise InputError(f"representation {_plain(rep)} takes a flat vector")
     result = kempf_optimum(vec, rep, n)
     payload = result.to_json()
     payload["n"] = n
-    payload["rep"] = _show_rep(rep)
+    payload["rep"] = _plain(rep)
     payload["semistable"] = not result.unstable
     _emit_json(payload, v["out"])
     return 0
@@ -539,8 +514,10 @@ def _run_kempf(v) -> int:
 
 # -- roots --------------------------------------------------------------------
 
+_FAMILY = _choice("family", "A", "B", "C", "D", fold=str.upper)
+
 ROOTS_BUILD_OPTS = [
-    Opt("family", _co_family, "root system family: A, B, C or D", required=True),
+    Opt("family", _FAMILY, "root system family: A, B, C or D", required=True),
     Opt("rank", _co_int, "rank of the system", required=True),
     _OUT,
 ]
@@ -553,7 +530,7 @@ def _run_roots_build(v) -> int:
 
 
 ROOTS_CHECK_OPTS = [
-    Opt("family", _co_family, "root system family (single check)"),
+    Opt("family", _FAMILY, "root system family (single check)"),
     Opt("rank", _co_int, "rank (single check)"),
     Opt("weight", _co_int, "fundamental weight index, 1-based (single check)"),
     Opt("all", _co_bool, "scan every minuscule weight up to --max-rank",
@@ -579,6 +556,9 @@ def _check_report(rs, i0: int, pi, witnesses, minuscule: bool) -> dict:
 
 def _run_roots_check(v) -> int:
     if v["all"]:
+        single = [f"--{k}" for k in ("family", "rank", "weight") if v[k] is not None]
+        if single:
+            raise InputError(f"roots check --all scans every weight; drop {', '.join(single)}")
         reports = [_check_report(rs, i, pi, witnesses, True)
                    for rs, i, pi, witnesses in minuscule_checks(v["max_rank"])]
         payload = {
@@ -671,9 +651,9 @@ def main(argv=None) -> int:
     if not hasattr(args, "runner"):
         parser.error("a subcommand is required")
     try:
-        values, plan = _resolve(args, args.opts, args.command)
+        values = _resolve(args, args.opts, args.command)
         if args.dry_run:
-            print(json.dumps({"command": args.command, "plan": plan},
+            print(json.dumps({"command": args.command, "plan": _plain(values)},
                              indent=2, sort_keys=True))
             return 0
         return args.runner(values)

@@ -248,7 +248,7 @@ def exponent_fit(records: Sequence[ApproxRecord]):
     Returns (omega_hat, infinite_flag): an exact zero residual means the
     exponent is infinite, and the zero is excluded from the fit.
     """
-    infinite = any(rec.exact_zero or rec.residual == 0.0 for rec in records)
+    infinite = any(rec.residual == 0.0 for rec in records)
     pts = [
         (math.log(rec.qnorm), -math.log(rec.residual))
         for rec in records
@@ -328,24 +328,9 @@ class DiophVerdict:
     notes: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "target": self.target,
-            "r": self.r,
-            "qmax": self.qmax,
-            "witnesses": [
-                {
-                    "qnorm": w.qnorm,
-                    "q": list(w.q),
-                    "p": list(w.p),
-                    "residual": w.residual,
-                    "quality": w.quality(self.r),
-                    "exact_zero": w.exact_zero,
-                }
-                for w in self.witnesses
-            ],
-            "notes": self.notes,
-        }
+        """The fields, each witness with its quality at r."""
+        return {**vars(self), "witnesses": [{**vars(w), "quality": w.quality(self.r)}
+                                            for w in self.witnesses]}
 
 
 def w_probe(
@@ -446,22 +431,13 @@ class DirichletReport:
         return "improvable-evidence" if self.tail_solvable else "not-improvable-evidence"
 
     def to_json(self) -> dict:
-        return {
-            "x": list(self.x),
-            "form": self.form,
-            "delta": self.delta,
-            "rows": [
-                {
-                    "T": row.t,
-                    "solvable": row.solvable,
-                    "q": list(row.q) if row.q else None,
-                    "p": list(row.p) if row.p else None,
-                    "residual": row.residual,
-                }
-                for row in self.rows
-            ],
-            "verdict": self.verdict,
-        }
+        """The fields, with each row's t keyed T and the verdict in place of
+        tail_solvable."""
+        out = {k: v for k, v in vars(self).items() if k != "tail_solvable"}
+        out["rows"] = [{("T" if k == "t" else k): v for k, v in vars(row).items()}
+                       for row in self.rows]
+        out["verdict"] = self.verdict
+        return out
 
 
 def probe_singular(x, form: str, deltas: Sequence[float], t_grid: Sequence[float],
@@ -498,13 +474,13 @@ def probe_singular(x, form: str, deltas: Sequence[float], t_grid: Sequence[float
     for v in x:
         if not math.isfinite(v):
             raise InputError(f"x must be finite, got {v}")
-    af, int_form = _read_target([[v] for v in x] if vect else [x])
+    af, _ = _read_target([[v] for v in x] if vect else [x])
 
     def bound(t):
         return int(math.floor(t**n if vect else t))
 
     try:
-        records = _search(af, int_form, bound(t_grid[-1]), budget)
+        records = _search(af, None, bound(t_grid[-1]), budget)
     except BudgetError as exc:
         raise BudgetError(f"dirichlet {form} at T = {t_grid[-1]:g}: {exc}") from None
     reports = []

@@ -214,12 +214,7 @@ def compute_aggregates(
 
 @dataclass
 class ExperimentReport:
-    n: int
-    t_grid: List[float]
-    samples: int
-    eps: float
-    box_radius: float
-    seed: int
+    config: dict  # n, t_grid, samples, eps, radius and seed, as the aggregates file has them
     rows: List[ExperimentRow]
     aggregates: List[dict]
 
@@ -233,17 +228,7 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
     def aggregates_payload(self) -> dict:
-        return {
-            "config": {
-                "n": self.n,
-                "t_grid": self.t_grid,
-                "samples": self.samples,
-                "eps": self.eps,
-                "radius": self.box_radius,
-                "seed": self.seed,
-            },
-            "aggregates": self.aggregates,
-        }
+        return {"config": self.config, "aggregates": self.aggregates}
 
     def write_csv(self, path: str) -> None:
         atomic_write_text(path, self.csv_text())
@@ -333,13 +318,6 @@ def translate_experiment(
                 )
             )
     aggregates = compute_aggregates(rows, n, box_radius, t_list)
-    return ExperimentReport(
-        n=n,
-        t_grid=t_list,
-        samples=samples,
-        eps=eps,
-        box_radius=box_radius,
-        seed=int(seed),
-        rows=rows,
-        aggregates=aggregates,
-    )
+    config = {"n": n, "t_grid": t_list, "samples": samples, "eps": eps,
+              "radius": box_radius, "seed": int(seed)}
+    return ExperimentReport(config, rows, aggregates)

@@ -240,6 +240,7 @@ def test_dry_run_prints_plan_without_computing(tmp_path):
     assert plan["command"] == "sim translate"
     assert plan["plan"]["samples"] == 5
     assert plan["plan"]["seed"] == 7
+    assert plan["plan"]["curve"] == {"path": curve, "n": 3, "k": 1}
     assert not out.exists()
 
 
@@ -355,6 +356,19 @@ def test_roots_check_all_rejects_a_max_rank_out_of_range(max_rank, monkeypatch, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: max rank {max_rank} out of the supported range 1..4\n"
+
+
+@pytest.mark.parametrize("single, named", [
+    (["--family", "D", "--rank", "4", "--weight", "9"], "--family, --rank, --weight"),
+    (["--weight", "1"], "--weight"),
+], ids=["all-three", "weight"])
+def test_roots_check_all_refuses_the_single_check_flags(single, named, capsys):
+    """--all scans every minuscule weight, so a --family, --rank or --weight
+    given with it would be ignored; it is refused by name instead."""
+    assert cli.main(["roots", "check", "--all", "--max-rank", "1", *single]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: roots check --all scans every weight; drop {named}\n"
 
 
 def test_roots_build():

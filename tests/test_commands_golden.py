@@ -6,9 +6,12 @@ every approximation target shape (1x1, 1x2 and 2x1 floats, a 2x2 rational,
 a quadratic irrational), the exponent estimate, the W and W' probes on a
 float and a rational target, the extended matrix at n = 4 and 8, both
 Dirichlet forms and a several-delta probe, the three Kempf representations,
-and the quadratic-field example at two D.  A change to the walks, the
-records, the certificates or the instability optimum that moves one byte
-of these outputs fails here.
+and the quadratic-field example at two D.  Eight --dry-run plans (one of
+`roots check`) pin how each kind of option value is printed: exact and
+float matrices, exact vectors, a wedgeK representation and a folded
+family.  A change to the walks, the records, the certificates, the
+instability optimum or the plan encoding that moves one byte of these
+outputs fails here.
 
 To re-record after an intended change of the output:
 
@@ -47,6 +50,14 @@ COMMANDS = [
     "kempf --v 0,1;0,0 --rep adjoint --n 2",
     "sim example --n 4 --r 2 --D 2",
     "sim example --n 6 --r 3 --D 5",
+    "dioph approx --a 1/3,2r2;3/5,4 --qmax 4 --dry-run",
+    "dioph approx --a 0.41,0.73 --qmax 60 --dry-run",
+    "dioph ext --n 4 --a 1,2;3,r5 --dry-run",
+    "dirichlet --x 0.4,0.7 --form lf --delta 0.5,0.1 --t 2,4 --dry-run",
+    "kempf --v 1/2,0,0,0,0,3 --rep wedge2 --n 4 --dry-run",
+    "kempf --v 0,1;0,0 --rep adjoint --n 2 --dry-run",
+    "roots check --family b --rank 3 --weight 2 --dry-run",
+    "sim example --n 4 --r 2 --D 2 --dry-run",
 ]
 
 

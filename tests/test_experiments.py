@@ -243,16 +243,59 @@ def test_flow_kernel_lambda1_matches_dense_scan():
         )
 
 
-def test_flow_kernel_box_count_matches_matrix_path():
-    """The kernel's Siegel count must equal a direct (b, c) scan of the
-    flowed lattice."""
+def _box_count_cases():
+    """(t, v1, v2, radius) of the n = 3 box-count comparisons."""
     rng = np.random.default_rng(81)
     for _ in range(10):
         t = float(rng.uniform(0.0, 1.8))
         v1, v2 = (float(x) for x in rng.uniform(-2, 2, size=2))
-        radius = float(rng.choice([0.8, 1.0, 1.5]))
+        yield t, v1, v2, float(rng.choice([0.8, 1.0, 1.5]))
+
+
+def test_flow_kernel_box_count_matches_matrix_path():
+    """The kernel's Siegel count must equal a direct (b, c) scan of the
+    flowed lattice."""
+    for t, v1, v2, radius in _box_count_cases():
         assert _stats_n3(t, v1, v2, radius)[1] == oracles.box_count_naive_n3(
             t, v1, v2, radius)
+
+
+def _walk_dropping_one_box_vector(radius):
+    """reduction._walk whose leaf callback skips the first vector that lies
+    well inside the box of the given radius, as a walk that prunes one node
+    too many would."""
+    real = reduction._walk
+
+    def walk(cols, ball, budget, leaf, box=None):
+        dropped, last = False, box
+
+        def lossy(z):
+            nonlocal dropped, last
+            sup = max(abs(sum(zi * col[k] for zi, col in zip(z, cols)))
+                      for k in range(len(cols[0])))
+            if not dropped and sup < radius * (1 - 1e-6):
+                dropped = True
+                return last
+            last = leaf(z)
+            return last
+
+        real(cols, ball, budget, lossy, box)
+
+    return walk
+
+
+def test_the_box_count_oracle_catches_a_walk_that_drops_a_box_vector(monkeypatch):
+    """The comparison above fails on every case with a nonzero count once
+    the walk loses one vector of the box."""
+    counted = 0
+    for t, v1, v2, radius in _box_count_cases():
+        want = oracles.box_count_naive_n3(t, v1, v2, radius)
+        with monkeypatch.context() as m:
+            m.setattr(reduction, "_walk", _walk_dropping_one_box_vector(radius))
+            got = _stats_n3(t, v1, v2, radius)[1]
+        assert got == want - 2 if want else got == 0
+        counted += bool(want)
+    assert counted
 
 
 def _phi_80(p):
