@@ -7,10 +7,13 @@ experiments on lattice space (sim), one-parameter instability optimizers
 
 Every leaf command accepts --config pointing at a JSON file whose keys mirror
 the flag names (dashes and underscores are interchangeable); explicit flags
-override config values. --dry-run validates the fully resolved plan, prints
-it as JSON, and exits without computing anything. File outputs are written
-atomically. Runs with the same resolved config and seed produce identical
-bytes.
+override config values. --dry-run checks each option's value, prints the
+fully resolved plan as JSON, and exits without computing anything. It leaves
+the checks that a command makes when it runs to the run, which then exits 2:
+a matrix --v for kempf --rep wedge2, dioph ext --n below 4, roots check
+without --all or all of --family, --rank and --weight, and roots check --all
+with any of them. File outputs are written atomically. Runs with the same
+resolved config and seed produce identical bytes.
 
 Exit codes: 0 success, 2 bad usage or input, 3 search budget exhausted,
 4 I/O failure.

@@ -20,7 +20,10 @@ computed once per basis.
 
 Sampling is reproducible across platforms: one Philox substream per sample
 index, seeded as (seed, index), so reports are bit-identical for a fixed
-config and seed regardless of evaluation order.
+config and seed regardless of evaluation order.  The stream is a pure-Python
+Philox4x64-10 behind numpy's SeedSequence, bit-identical to numpy's
+Generator(Philox(SeedSequence([seed, index]))).random(), so sampling needs
+no numpy.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import BudgetError, InputError, InvariantError
 from ..exact import ExactScalar
@@ -76,15 +79,78 @@ def _head_value(form: Tuple[Sequence[int], int], z: Sequence[int]) -> float:
     return sum(c * zz for c, zz in zip(coeffs, z)) / q
 
 
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+
+
+def _hasher(const: int, mult: int) -> Callable[[int], int]:
+    """numpy SeedSequence's 32-bit hashmix, its running constant starting at
+    const: XOR the value with the constant, multiply the constant by mult
+    and the value by the new constant, then fold the high half down."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _seed_key(entropy: Sequence[int]) -> Tuple[int, int]:
+    """The Philox key of numpy's SeedSequence(entropy).generate_state(2,
+    uint64) for non-negative ints: each int as its little-endian 32-bit
+    words, hashed into a pool of four words, then hashed out."""
+    words = [n >> s & _M32 for n in entropy for s in range(0, max(n.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    out = list(map(_hasher(0x8B51F9DD, 0x58F38DED), pool))
+    return out[0] | out[1] << 32, out[2] | out[3] << 32
+
+
+def _philox_doubles(seed: int, index: int) -> Iterator[float]:
+    """The doubles of numpy's Generator(Philox(SeedSequence([seed, index]))),
+    bit for bit: Philox4x64-10 (Salmon et al., SC 2011) on a counter
+    incremented before each block of four words, each word w read as
+    (w >> 11) 2^-53."""
+    k0, k1 = _seed_key([seed, index])
+    ctr = 0
+    while True:
+        ctr += 1
+        c0, c1, c2, c3 = (ctr >> s & _M64 for s in (0, 64, 128, 192))
+        key0, key1 = k0, k1
+        for r in range(10):
+            if r:  # the key is bumped by the Weyl constants before rounds 2 to 10
+                key0 = key0 + 0x9E3779B97F4A7C15 & _M64
+                key1 = key1 + 0xBB67AE8584CAA73B & _M64
+            p0 = 0xD2E7470EE14C6C93 * c0
+            p1 = 0xCA5A826395121157 * c2
+            c0, c1, c2, c3 = p1 >> 64 ^ c1 ^ key0, p1 & _M64, p0 >> 64 ^ c3 ^ key1, p0 & _M64
+        for w in (c0, c1, c2, c3):
+            yield (w >> 11) * 2.0 ** -53
+
+
 def sample_ball(curve: Curve, samples: int, seed: int) -> List[Tuple[float, ...]]:
-    """Deterministic uniform samples from the curve's parameter ball."""
-    import numpy as np
+    """Deterministic uniform samples from the curve's parameter ball: sample
+    idx is the first point of the stream _philox_doubles(seed, idx) inside
+    the unit ball, mapped coordinate-wise by 2u - 1."""
     pts = []
     k = curve.k
     for idx in range(samples):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, idx])))
+        draws = _philox_doubles(seed, idx)
         while True:
-            x = [2.0 * v - 1.0 for v in rng.random(k).tolist()]
+            x = [2.0 * next(draws) - 1.0 for _ in range(k)]
             if sum(v * v for v in x) <= 1.0:
                 break
         pts.append(tuple(curve.center[i] + curve.radius * x[i] for i in range(k)))

@@ -371,6 +371,31 @@ def test_roots_check_all_refuses_the_single_check_flags(single, named, capsys):
     assert captured.err == f"error: roots check --all scans every weight; drop {named}\n"
 
 
+# Checks a command makes when it runs, which --dry-run leaves to the run;
+# the cli docstring and README name each of them
+RUN_TIME_CHECKS = [
+    (["kempf", "--v", "0,1;0,0", "--rep", "wedge2", "--n", "2"],
+     "representation wedge2 takes a flat vector"),
+    (["dioph", "ext", "--n", "3", "--a", "1,2;3,4"], "n must be at least 4"),
+    (["roots", "check", "--family", "A", "--rank", "2"],
+     "roots check needs either --all or all three of --family, --rank, --weight"),
+    (["roots", "check", "--all", "--family", "D"],
+     "roots check --all scans every weight; drop --family"),
+]
+
+
+@pytest.mark.parametrize("argv, message", RUN_TIME_CHECKS,
+                         ids=["kempf-wedge2-matrix", "dioph-ext-n3", "roots-check-no-weight",
+                              "roots-check-all-family"])
+def test_a_dry_run_leaves_the_run_time_checks_to_the_run(argv, message, capsys):
+    """--dry-run checks each option's value alone: these plans pass it, and
+    the run refuses them with exit 2."""
+    assert cli.main([*argv, "--dry-run"]) == 0
+    assert capsys.readouterr().err == ""
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_roots_build():
     res = run_cli("roots", "build", "--family", "C", "--rank", "2")
     assert res.returncode == 0

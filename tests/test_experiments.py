@@ -1,5 +1,6 @@
 """Sampling, per-sample flow statistics, CSV/JSON emission."""
 
+import itertools
 import json
 import math
 import os
@@ -73,6 +74,52 @@ def test_samples_in_a_ball_of_several_parameters(k):
     # a ball fills pi/4 (k = 2) or pi/6 (k = 3) of its cube: the far corners are never hit
     assert max(math.dist(p, center) for p in pts) > 0.28
     assert sample_ball(c, 40, 3)[:7] == sample_ball(c, 7, 3)
+
+
+def _numpy_stream(seed, idx):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, idx])))
+
+
+# an int of one, two, three and five 32-bit words; 2^130 + 7 fills the
+# SeedSequence pool with its own words, so the index word is mixed in after it
+PHILOX_SEEDS = [0, 1, 2**31 - 1, 2**32, 2**40 + 5, 12345678901234567890, 2**64 + 3, 2**130 + 7]
+
+
+@pytest.mark.parametrize("seed", PHILOX_SEEDS)
+def test_the_philox_stream_is_numpys_bit_for_bit(seed):
+    """The pure-Python stream draws the doubles of numpy's
+    Generator(Philox(SeedSequence([seed, i]))): 11 draws span three Philox
+    blocks, on 153 substreams per seed, indices of two words included."""
+    for idx in list(range(150)) + [2**32 - 1, 2**32, 2**64 + 1]:
+        got = list(itertools.islice(experiments._philox_doubles(seed, idx), 11))
+        assert got == _numpy_stream(seed, idx).random(11).tolist(), idx
+
+
+def _numpy_sample_ball(curve, samples, seed):
+    """sample_ball written with numpy's generator, as the program drew its
+    samples before the pure-Python stream, and the number of rejected
+    draws."""
+    pts, rejected = [], 0
+    for idx in range(samples):
+        rng = _numpy_stream(seed, idx)
+        while True:
+            x = [2.0 * v - 1.0 for v in rng.random(curve.k).tolist()]
+            if sum(v * v for v in x) <= 1.0:
+                break
+            rejected += 1
+        pts.append(tuple(curve.center[i] + curve.radius * x[i] for i in range(curve.k)))
+    return pts, rejected
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2**64 + 3])
+@pytest.mark.parametrize("k", [2, 3])
+def test_sample_ball_draws_numpys_samples(k, seed):
+    """A rejected point of a ball with k >= 2 parameters is followed by the
+    next k draws of its substream, as with numpy's rng.random(k)."""
+    c = _surface(k, [0.5, -0.25, 1.0][:k], 0.3)
+    want, rejected = _numpy_sample_ball(c, 200, seed)
+    assert rejected > 20
+    assert sample_ball(c, 200, seed) == want
 
 
 def test_rows_are_sample_major():

@@ -76,9 +76,10 @@ def _numpy_imports(name, nodes):
 
 def test_lattice_layer_imports_no_numpy():
     """The reduction and the descent take and return bases as lists of
-    float columns, so they import no numpy."""
+    float columns, and the experiments draw their samples from a pure-Python
+    Philox stream, so they import no numpy."""
     found = []
-    for name in ("reduction.py", "descent.py"):
+    for name in ("reduction.py", "descent.py", "experiments.py"):
         found += _numpy_imports(name, ast.walk(ast.parse((SRC / "lab" / name).read_text())))
     assert found == []
 
@@ -135,8 +136,9 @@ def test_dioph_builds_records_in_one_place():
     assert len(inside) > 2 and found == []
 
 
-# Commands that compute with integers and Fractions alone, so they run
-# without numpy; the dioph ext block is 2 x 6 (n = 8).
+# Commands that compute with integers, Fractions and floats alone, so they
+# run without numpy; the dioph ext block is 2 x 6 (n = 8). The sim translate
+# run is the parabola of tests/test_golden.py, written to relative paths.
 NUMPY_FREE_COMMANDS = [
     "roots build --family C --rank 4",
     "roots check --all --max-rank 3",
@@ -145,12 +147,20 @@ NUMPY_FREE_COMMANDS = [
     "kempf --v 1,2,0,0,0,0 --rep wedge2 --n 4",
     "kempf --v 0,1;0,0 --rep adjoint --n 2",
     "sim example --n 6 --r 3 --D 2",
+    "sim translate --curve parabola.json --t 2,6 --samples 6 --seed 1 --radius 1.5"
+    " --out parabola.csv --aggregates parabola.agg.json",
 ]
+
+PARABOLA = {"n": 3, "k": 1, "center": [0.0], "radius": 1.0,
+            "coords": [{"monomials": [{"exps": [e], "coeff": "1"}]} for e in (1, 2)]}
+OUTPUTS = ("parabola.csv", "parabola.agg.json")
 
 _RUN_COMMANDS = """
 import contextlib, io, json, sys
 import latflow.cli as cli
-heavy = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'sympy', 'mpmath'))
+def heavy():
+    return sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'sympy', 'mpmath'))
+at_import = heavy()
 if sys.argv[1] == 'block':
     sys.modules['numpy'] = None  # every later numpy import raises ImportError
 runs = []
@@ -161,29 +171,35 @@ for command in sys.argv[2:]:
             runs.append([cli.main(command.split()), out.getvalue()])
     except Exception as exc:
         runs.append([repr(exc), out.getvalue()])
-print(json.dumps([heavy, runs]))
+print(json.dumps([at_import, heavy(), runs]))
 """
 
 
-def _run_commands(mode):
-    """(heavy modules loaded by `import latflow.cli`, [exit code or
-    exception, stdout] of each numpy-free command) in a fresh interpreter,
+def _run_commands(mode, workdir):
+    """(heavy modules loaded by `import latflow.cli`, heavy modules loaded
+    once every numpy-free command ran, [exit code or exception, stdout] of
+    each, the bytes of OUTPUTS) in a fresh interpreter working in workdir,
     with numpy made unimportable after the import when mode is 'block'."""
+    workdir.mkdir()
+    (workdir / "parabola.json").write_text(json.dumps(PARABOLA))
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", _RUN_COMMANDS, mode, *NUMPY_FREE_COMMANDS],
-                         capture_output=True, text=True, env=env, timeout=300,
-                         check=True).stdout
-    return json.loads(out)
+                         capture_output=True, text=True, env=env, cwd=workdir,
+                         timeout=300, check=True).stdout
+    return json.loads(out) + [[(workdir / name).read_bytes() for name in OUTPUTS]]
 
 
-def test_cli_start_up_leaves_numpy_and_sympy_off_the_path():
+def test_cli_start_up_leaves_numpy_and_sympy_off_the_path(tmp_path):
     """Heavy dependencies stay out of every command's start-up: importing
-    latflow.cli loads no numpy, sympy or mpmath, and the commands that need
-    no numpy print the same stdout when any numpy import raises."""
-    heavy, blocked = _run_commands("block")
-    assert heavy == []
-    assert blocked == _run_commands("plain")[1]
+    latflow.cli loads no numpy, sympy or mpmath, the commands that need no
+    numpy load none either, and they print the same stdout and write the
+    same files when any numpy import raises."""
+    at_import, _, blocked, blocked_files = _run_commands("block", tmp_path / "block")
+    _, after_runs, plain, plain_files = _run_commands("plain", tmp_path / "plain")
+    assert at_import == [] and after_runs == []
+    assert blocked == plain
     assert all(code == 0 and text for code, text in blocked)
+    assert blocked_files == plain_files
 
 
 def test_importing_the_package_loads_no_submodule():
