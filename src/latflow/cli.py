@@ -5,15 +5,23 @@ improvability tests for the pigeonhole inequalities (dirichlet), orbit
 experiments on lattice space (sim), one-parameter instability optimizers
 (kempf), and root-system scans (roots).
 
+One table, COMMANDS, declares each command once: its name, help, options and
+runner. build_parser builds every parser from it and gives each command
+--out, --config and --dry-run. A runner returns its result, a text or a JSON
+payload, and main writes it through the one writer, _emit: atomically to the
+--out path, followed by a "wrote PATH" line on stdout, or to stdout itself.
+sim translate alone writes its CSV through ExperimentReport.write_csv; its
+--aggregates goes through _emit.
+
 Every leaf command accepts --config pointing at a JSON file whose keys mirror
 the flag names (dashes and underscores are interchangeable); explicit flags
 override config values. --dry-run checks each option's value, prints the
 fully resolved plan as JSON, and exits without computing anything. It leaves
 the checks that a command makes when it runs to the run, which then exits 2:
 a matrix --v for kempf --rep wedge2, dioph ext --n below 4, roots check
-without --all or all of --family, --rank and --weight, and roots check --all
-with any of them. File outputs are written atomically. Runs with the same
-resolved config and seed produce identical bytes.
+without --all or all of --family, --rank and --weight, roots check --all
+with any of them, and a sim translate curve with more than 10 parameters.
+Runs with the same resolved config and seed produce identical bytes.
 
 Exit codes: 0 success, 2 bad usage or input, 3 search budget exhausted,
 4 I/O failure.
@@ -152,15 +160,17 @@ def _target_matrix(raw):
     (1-2r5) keep the exact path, with its zero-residual certificates; any
     entry carrying a decimal point turns the whole target into a float
     matrix, each entry the double nearest its exact value, and the search
-    runs numerically.
+    runs numerically. Rows of unequal length are refused before any entry
+    is read.
     """
     grid, _ = _grid(raw, "a matrix")
-    numeric = any(
-        isinstance(e, float) or (isinstance(e, str) and "." in e)
-        for row in grid for e in row
-    )
-    if not numeric:
-        return _co_matrix(raw)
+    for i, row in enumerate(grid):
+        if len(row) != len(grid[0]):
+            raise InputError(f"ragged target matrix: rows 1 and {i + 1} have "
+                             f"{len(grid[0])} and {len(row)} entries")
+    if not any(isinstance(e, float) or (isinstance(e, str) and "." in e)
+               for row in grid for e in row):
+        return ExactMatrix([[_entry(e) for e in row] for row in grid])
     out = []
     for row in grid:
         out.append([])
@@ -169,8 +179,6 @@ def _target_matrix(raw):
                 out[-1].append(float(_entry(e)))
             except OverflowError:
                 raise InputError(f"matrix entry {e!r} is not a finite double")
-    if any(len(r) != len(out[0]) for r in out):
-        raise InputError("ragged target matrix")
     return out
 
 
@@ -213,7 +221,7 @@ def _co_curve(raw) -> _LoadedCurve:
     return _LoadedCurve(path, load_curve(path))
 
 
-# -- option table and resolution ---------------------------------------------
+# -- options and their resolution ---------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -224,23 +232,6 @@ class Opt:
     required: bool = False
     default: object = None
     flag: bool = False
-
-
-_OUT = Opt("out", _co_str, "write the result to this path instead of stdout")
-_TARGET = Opt("a", _target_matrix, "target matrix: rows ';'-separated, entries "
-              "','-separated; decimal entries are searched as floats, p/q and rN "
-              "forms exactly", required=True)
-_BUDGET = Opt("budget", _co_budget, "enumeration budget",
-              default=dioph.DEFAULT_ENUM_BUDGET)
-
-
-def _add_opt(parser: argparse.ArgumentParser, opt: Opt) -> None:
-    flag = "--" + opt.name.replace("_", "-")
-    if opt.flag:
-        parser.add_argument(flag, dest=opt.name, action="store_true",
-                            default=None, help=opt.help)
-    else:
-        parser.add_argument(flag, dest=opt.name, default=None, help=opt.help)
 
 
 def _resolve(args, opts: Sequence[Opt], command: str):
@@ -277,13 +268,20 @@ def _resolve(args, opts: Sequence[Opt], command: str):
     return values
 
 
-# -- output helpers -----------------------------------------------------------
+# -- output -------------------------------------------------------------------
 
 
 def _plain(value):
     """value as JSON: an exact matrix by its serialized rows, a Fraction as
     its string, a loaded curve by its path and shape, a ("wedge", k)
     representation as wedgeK, and lists and dicts entry by entry."""
+    # JSON scalars first: they are most of a payload's entries
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, list):
+        return [_plain(x) for x in value]
+    if isinstance(value, dict):
+        return {k: _plain(x) for k, x in value.items()}
     if isinstance(value, ExactMatrix):
         return [[x.serialize() for x in row] for row in value.rows]
     if isinstance(value, Fraction):
@@ -292,37 +290,28 @@ def _plain(value):
         return {"path": value.path, "n": value.curve.n, "k": value.curve.k}
     if isinstance(value, tuple) and value[:1] == ("wedge",):
         return f"wedge{value[1]}"
-    if isinstance(value, list):
-        return [_plain(x) for x in value]
-    if isinstance(value, dict):
-        return {k: _plain(x) for k, x in value.items()}
     return value
 
 
-def _emit_text(text: str, out: Optional[str]) -> None:
+def _emit(result, out: Optional[str]) -> None:
+    """Write a result, text as it is and a payload as JSON through _plain,
+    atomically to out, or to stdout when out is None."""
+    if not isinstance(result, str):
+        result = json.dumps(_plain(result), indent=2, sort_keys=True) + "\n"
     if out:
-        atomic_write_text(out, text)
+        atomic_write_text(out, result)
         print(f"wrote {out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(result)
 
 
-def _emit_json(payload: dict, out: Optional[str]) -> None:
-    _emit_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+# -- runners ------------------------------------------------------------------
+#
+# A runner takes the resolved option values and returns its result, a text or
+# a JSON payload, which main writes to --out or stdout.
 
 
-# -- dioph --------------------------------------------------------------------
-
-DIOPH_APPROX_OPTS = [
-    _TARGET,
-    Opt("qmax", _co_int, "largest sup norm of q searched", required=True),
-    Opt("r", _co_float, "exponent for the quality column (default: cols/rows)"),
-    _BUDGET,
-    _OUT,
-]
-
-
-def _run_dioph_approx(v) -> int:
+def _run_dioph_approx(v) -> str:
     a = v["a"]
     if v["r"] is not None:
         r = v["r"]
@@ -336,34 +325,15 @@ def _run_dioph_approx(v) -> int:
     for rec in records:
         lines.append(f"{rec.qnorm},{';'.join(map(str, rec.q))},{';'.join(map(str, rec.p))},"
                      f"{rec.residual!r},{rec.quality(r)!r}")
-    _emit_text("\n".join(lines) + "\n", v["out"])
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-DIOPH_EXPONENT_OPTS = [
-    _TARGET,
-    Opt("qmax", _co_int, "largest sup norm of q searched (>= 10)", required=True),
-    _BUDGET,
-    _OUT,
-]
-
-
-def _run_dioph_exponent(v) -> int:
+def _run_dioph_exponent(v) -> dict:
     omega, infinite = dioph.exponent_estimate(v["a"], v["qmax"], budget=v["budget"])
-    _emit_json({"omega_hat": omega, "infinite": infinite, "qmax": v["qmax"]},
-               v["out"])
-    return 0
+    return {"omega_hat": omega, "infinite": infinite, "qmax": v["qmax"]}
 
 
-DIOPH_EXT_OPTS = [
-    Opt("n", _co_int, "ambient dimension (the block has n-2 columns)",
-        required=True),
-    Opt("a", _co_matrix, "2 x (n-2) block: rows ';'-separated", required=True),
-    _OUT,
-]
-
-
-def _run_dioph_ext(v) -> int:
+def _run_dioph_ext(v) -> str:
     n, a = v["n"], v["a"]
     if n < 4:
         raise InputError("n must be at least 4")
@@ -371,83 +341,31 @@ def _run_dioph_ext(v) -> int:
         raise InputError(f"expected a 2x{n - 2} block for n={n}, "
                          f"got {a.nrows}x{a.ncols}")
     ext = dioph.a_ext(a)
-    text = "\n".join(",".join(x.serialize() for x in row) for row in ext.rows)
-    _emit_text(text + "\n", v["out"])
-    return 0
+    return "\n".join(",".join(x.serialize() for x in row) for row in ext.rows) + "\n"
 
 
-DIOPH_PROBE_OPTS = [
-    _TARGET,
-    Opt("r", _co_float, "approximation exponent of the set probed", required=True),
-    Opt("qmax", _co_int, "largest sup norm of q searched", required=True),
-    Opt("target", _choice("target", "W", "Wprime"),
-        "W (fixed constant) or Wprime (arbitrarily small)", default="W"),
-    Opt("c", _co_float, "constant for the W inequality (W only; Wprime "
-        "ignores it)", default=1.0),
-    _BUDGET,
-    _OUT,
-]
+def _run_dioph_probe(v) -> dict:
+    return dioph.w_probe(v["a"], r=v["r"], qmax=v["qmax"], target=v["target"],
+                         c=v["c"], budget=v["budget"]).to_json()
 
 
-def _run_dioph_probe(v) -> int:
-    verdict = dioph.w_probe(v["a"], r=v["r"], qmax=v["qmax"], target=v["target"],
-                            c=v["c"], budget=v["budget"])
-    _emit_json(verdict.to_json(), v["out"])
-    return 0
-
-
-# -- dirichlet ----------------------------------------------------------------
-
-DIRICHLET_OPTS = [
-    Opt("x", _co_float_list, "target vector, comma separated", required=True),
-    Opt("form", _choice("form", "vect", "lf"),
-        "vect (scalar q, vector p) or lf (vector q, scalar p)", default="vect"),
-    Opt("delta", _co_float_list,
-        "improvement factor(s) in (0,1]; several run one probe per value",
-        required=True),
-    Opt("t", _co_float_list, "strictly increasing grid of thresholds T (> 1)",
-        required=True),
-    _BUDGET,
-    _OUT,
-]
-
-
-def _run_dirichlet(v) -> int:
+def _run_dirichlet(v) -> dict:
     reports, singular = dioph.probe_singular(v["x"], v["form"], v["delta"],
                                              v["t"], budget=v["budget"])
     if len(reports) == 1:
-        payload = reports[0].to_json()
-    else:
-        payload = {
-            "x": list(v["x"]),
-            "form": v["form"],
-            "deltas": list(v["delta"]),
-            "reports": [rep.to_json() for rep in reports],
-            "singular_evidence": singular,
-        }
-    _emit_json(payload, v["out"])
-    return 0
+        return reports[0].to_json()
+    return {
+        "x": list(v["x"]),
+        "form": v["form"],
+        "deltas": list(v["delta"]),
+        "reports": [rep.to_json() for rep in reports],
+        "singular_evidence": singular,
+    }
 
 
-# -- sim ----------------------------------------------------------------------
-
-SIM_TRANSLATE_OPTS = [
-    Opt("curve", _co_curve, "path to a curve JSON file", required=True),
-    Opt("t", _co_float_list, "comma list of flow times", required=True),
-    Opt("samples", _co_int, "number of parameter samples", required=True),
-    Opt("seed", _co_int, "RNG seed (required: runs are reproducible)",
-        required=True),
-    Opt("radius", _co_float, "half-width of the counting box", default=1.5),
-    Opt("eps", _co_float, "smallness threshold for the shortest vector",
-        default=0.1),
-    Opt("budget", _co_budget, "lattice-point enumeration budget",
-        default=DEFAULT_NODE_BUDGET),
-    Opt("aggregates", _co_str, "also write per-time aggregates to this JSON path"),
-    _OUT,
-]
-
-
-def _run_sim_translate(v) -> int:
+def _run_sim_translate(v) -> None:
+    """Writes its CSV through ExperimentReport.write_csv itself, and the
+    aggregates through _emit."""
     report = translate_experiment(v["curve"].curve, v["t"], v["samples"],
                                   v["eps"], v["radius"], v["seed"],
                                   node_budget=v["budget"])
@@ -457,45 +375,22 @@ def _run_sim_translate(v) -> int:
     else:
         sys.stdout.write(report.csv_text())
     if v["aggregates"]:
-        _emit_json(report.aggregates_payload(), v["aggregates"])
-    return 0
+        _emit(report.aggregates_payload(), v["aggregates"])
 
 
-SIM_EXAMPLE_OPTS = [
-    Opt("n", _co_int, "ambient dimension (must equal 2r)", required=True),
-    Opt("r", _co_int, "rank of the subspace over the field", required=True),
-    Opt("D", _co_int, "squarefree integer in [2, 10^12] defining the field", required=True),
-    _OUT,
-]
-
-
-def _run_sim_example(v) -> int:
+def _run_sim_example(v) -> dict:
     ex = quadratic_subspace_example(v["n"], v["r"], v["D"])
     payload = curve_to_json(ex.curve)
     payload["r"] = ex.r
     payload["m"] = 2  # the field degree
     payload["D"] = ex.d_field
-    payload["l0_inv"] = _plain(ex.l0_inv)
-    payload["l0"] = _plain(ex.l0)
-    payload["span"] = _plain(vars(ex.span))
-    _emit_json(payload, v["out"])
-    return 0
+    payload["l0_inv"] = ex.l0_inv
+    payload["l0"] = ex.l0
+    payload["span"] = vars(ex.span)
+    return payload
 
 
-# -- kempf --------------------------------------------------------------------
-
-KEMPF_OPTS = [
-    Opt("v", _co_frac_rows,
-        "the vector (comma list; ';' rows for the adjoint matrix)",
-        required=True),
-    Opt("rep", _co_rep, "standard, wedgeK (e.g. wedge2) or adjoint",
-        default="standard"),
-    Opt("n", _co_int, "rank parameter of the group", required=True),
-    _OUT,
-]
-
-
-def _run_kempf(v) -> int:
+def _run_kempf(v) -> dict:
     rep, n, vec = v["rep"], v["n"], v["v"]
     nested = bool(vec) and isinstance(vec[0], list)
     if rep == "adjoint":
@@ -509,38 +404,13 @@ def _run_kempf(v) -> int:
     result = kempf_optimum(vec, rep, n)
     payload = result.to_json()
     payload["n"] = n
-    payload["rep"] = _plain(rep)
+    payload["rep"] = rep
     payload["semistable"] = not result.unstable
-    _emit_json(payload, v["out"])
-    return 0
+    return payload
 
 
-# -- roots --------------------------------------------------------------------
-
-_FAMILY = _choice("family", "A", "B", "C", "D", fold=str.upper)
-
-ROOTS_BUILD_OPTS = [
-    Opt("family", _FAMILY, "root system family: A, B, C or D", required=True),
-    Opt("rank", _co_int, "rank of the system", required=True),
-    _OUT,
-]
-
-
-def _run_roots_build(v) -> int:
-    rs = build_root_system(v["family"], v["rank"])
-    _emit_json(rs.to_json(), v["out"])
-    return 0
-
-
-ROOTS_CHECK_OPTS = [
-    Opt("family", _FAMILY, "root system family (single check)"),
-    Opt("rank", _co_int, "rank (single check)"),
-    Opt("weight", _co_int, "fundamental weight index, 1-based (single check)"),
-    Opt("all", _co_bool, "scan every minuscule weight up to --max-rank",
-        flag=True, default=False),
-    Opt("max_rank", _co_int, "largest rank scanned with --all", default=3),
-    _OUT,
-]
+def _run_roots_build(v) -> dict:
+    return build_root_system(v["family"], v["rank"]).to_json()
 
 
 def _check_report(rs, i0: int, pi, witnesses, minuscule: bool) -> dict:
@@ -557,94 +427,156 @@ def _check_report(rs, i0: int, pi, witnesses, minuscule: bool) -> dict:
     }
 
 
-def _run_roots_check(v) -> int:
+def _run_roots_check(v) -> dict:
     if v["all"]:
         single = [f"--{k}" for k in ("family", "rank", "weight") if v[k] is not None]
         if single:
             raise InputError(f"roots check --all scans every weight; drop {', '.join(single)}")
         reports = [_check_report(rs, i, pi, witnesses, True)
                    for rs, i, pi, witnesses in minuscule_checks(v["max_rank"])]
-        payload = {
+        return {
             "max_rank": v["max_rank"],
             "reports": reports,
             "pass_set": [[r["family"], r["rank"], r["weight_index"]]
                          for r in reports if r["passes"]],
         }
-    else:
-        if v["family"] is None or v["rank"] is None or v["weight"] is None:
-            raise InputError("roots check needs either --all or all three of "
-                             "--family, --rank, --weight")
-        rs = build_root_system(v["family"], v["rank"])
-        if not 1 <= v["weight"] <= rs.rank:
-            raise InputError(f"weight index must lie in 1..{rs.rank}")
-        i0 = v["weight"] - 1
-        omega = rs.fundamental[i0]
-        pi = sorted(saturate([omega], rs))
-        payload = _check_report(rs, i0, pi, classification_check(rs, pi),
-                                is_minuscule(omega, rs))
-    _emit_json(payload, v["out"])
-    return 0
+    if v["family"] is None or v["rank"] is None or v["weight"] is None:
+        raise InputError("roots check needs either --all or all three of "
+                         "--family, --rank, --weight")
+    rs = build_root_system(v["family"], v["rank"])
+    if not 1 <= v["weight"] <= rs.rank:
+        raise InputError(f"weight index must lie in 1..{rs.rank}")
+    i0 = v["weight"] - 1
+    omega = rs.fundamental[i0]
+    pi = sorted(saturate([omega], rs))
+    return _check_report(rs, i0, pi, classification_check(rs, pi), is_minuscule(omega, rs))
 
 
-# -- parser wiring ------------------------------------------------------------
+# -- the command table --------------------------------------------------------
 
+_OUT = Opt("out", _co_str, "write the result to this path instead of stdout")
+_TARGET = Opt("a", _target_matrix, "target matrix: rows ';'-separated, entries "
+              "','-separated; decimal entries are searched as floats, p/q and rN "
+              "forms exactly", required=True)
+_BUDGET = Opt("budget", _co_budget, "enumeration budget",
+              default=dioph.DEFAULT_ENUM_BUDGET)
+_FAMILY = _choice("family", "A", "B", "C", "D", fold=str.upper)
 
-def _leaf(sub, name: str, help_text: str, opts: Sequence[Opt], runner) -> None:
-    p = sub.add_parser(name, help=help_text, description=help_text,
-                       allow_abbrev=False)
-    for opt in opts:
-        _add_opt(p, opt)
-    p.add_argument("--config", default=None,
-                   help="JSON file whose keys mirror the flags; flags override")
-    p.add_argument("--dry-run", action="store_true", default=False,
-                   help="validate and print the resolved plan, skip the run")
-    parent = p.prog.split()[-2] if len(p.prog.split()) > 2 else ""
-    command = f"{parent} {name}".strip()
-    p.set_defaults(opts=opts, runner=runner, command=command)
+# the help of each group that holds commands
+_GROUPS = {
+    "dioph": "diophantine approximation probes",
+    "sim": "orbit experiments on lattice space",
+    "roots": "root systems and weight scans",
+}
+
+# (command, help, options, runner) of every command, in the order --help
+# lists them; each takes --out, --config and --dry-run as well
+COMMANDS = [
+    ("dioph approx", "best approximations of a target matrix", [
+        _TARGET,
+        Opt("qmax", _co_int, "largest sup norm of q searched", required=True),
+        Opt("r", _co_float, "exponent for the quality column (default: cols/rows)"),
+        _BUDGET,
+    ], _run_dioph_approx),
+    ("dioph exponent", "approximation-exponent estimate", [
+        _TARGET,
+        Opt("qmax", _co_int, "largest sup norm of q searched (>= 10)", required=True),
+        _BUDGET,
+    ], _run_dioph_exponent),
+    ("dioph ext", "extended matrix of a 2-row block", [
+        Opt("n", _co_int, "ambient dimension (the block has n-2 columns)",
+            required=True),
+        Opt("a", _co_matrix, "2 x (n-2) block: rows ';'-separated", required=True),
+    ], _run_dioph_ext),
+    ("dioph probe", "graded membership probe for W_r / W'_r", [
+        _TARGET,
+        Opt("r", _co_float, "approximation exponent of the set probed", required=True),
+        Opt("qmax", _co_int, "largest sup norm of q searched", required=True),
+        Opt("target", _choice("target", "W", "Wprime"),
+            "W (fixed constant) or Wprime (arbitrarily small)", default="W"),
+        Opt("c", _co_float, "constant for the W inequality (W only; Wprime "
+            "ignores it)", default=1.0),
+        _BUDGET,
+    ], _run_dioph_probe),
+    ("dirichlet", "improvability probe for the pigeonhole inequality", [
+        Opt("x", _co_float_list, "target vector, comma separated", required=True),
+        Opt("form", _choice("form", "vect", "lf"),
+            "vect (scalar q, vector p) or lf (vector q, scalar p)", default="vect"),
+        Opt("delta", _co_float_list,
+            "improvement factor(s) in (0,1]; several run one probe per value",
+            required=True),
+        Opt("t", _co_float_list, "strictly increasing grid of thresholds T (> 1)",
+            required=True),
+        _BUDGET,
+    ], _run_dirichlet),
+    ("sim translate", "flow-translate samples of a curve and record shortest "
+     "vectors and box counts", [
+        Opt("curve", _co_curve, "path to a curve JSON file", required=True),
+        Opt("t", _co_float_list, "comma list of flow times", required=True),
+        Opt("samples", _co_int, "number of parameter samples", required=True),
+        Opt("seed", _co_int, "RNG seed (required: runs are reproducible)",
+            required=True),
+        Opt("radius", _co_float, "half-width of the counting box", default=1.5),
+        Opt("eps", _co_float, "smallness threshold for the shortest vector",
+            default=0.1),
+        Opt("budget", _co_budget, "lattice-point enumeration budget",
+            default=DEFAULT_NODE_BUDGET),
+        Opt("aggregates", _co_str, "also write per-time aggregates to this JSON path"),
+    ], _run_sim_translate),
+    ("sim example", "base change and trapped line for a real quadratic field", [
+        Opt("n", _co_int, "ambient dimension (must equal 2r)", required=True),
+        Opt("r", _co_int, "rank of the subspace over the field", required=True),
+        Opt("D", _co_int, "squarefree integer in [2, 10^12] defining the field",
+            required=True),
+    ], _run_sim_example),
+    ("kempf", "steepest destabilizing one-parameter subgroup", [
+        Opt("v", _co_frac_rows,
+            "the vector (comma list; ';' rows for the adjoint matrix)",
+            required=True),
+        Opt("rep", _co_rep, "standard, wedgeK (e.g. wedge2) or adjoint",
+            default="standard"),
+        Opt("n", _co_int, "rank parameter of the group", required=True),
+    ], _run_kempf),
+    ("roots build", "construct and verify a root system", [
+        Opt("family", _FAMILY, "root system family: A, B, C or D", required=True),
+        Opt("rank", _co_int, "rank of the system", required=True),
+    ], _run_roots_build),
+    ("roots check", "pairing-profile check for minuscule weight orbits", [
+        Opt("family", _FAMILY, "root system family (single check)"),
+        Opt("rank", _co_int, "rank (single check)"),
+        Opt("weight", _co_int, "fundamental weight index, 1-based (single check)"),
+        Opt("all", _co_bool, "scan every minuscule weight up to --max-rank",
+            flag=True, default=False),
+        Opt("max_rank", _co_int, "largest rank scanned with --all", default=3),
+    ], _run_roots_check),
+]
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built once: parse_args keeps no state
-    from one call to the next."""
+    """The parser of every command in COMMANDS, built once: parse_args keeps
+    no state from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="latflow",
         description="Lattice laboratory for diagonal flows, diophantine "
                     "probes and instability certificates.")
-    top = parser.add_subparsers(dest="group", metavar="GROUP")
-
-    dioph_p = top.add_parser("dioph", help="diophantine approximation probes")
-    dsub = dioph_p.add_subparsers(dest="subcommand", metavar="CMD")
-    _leaf(dsub, "approx", "best approximations of a target matrix",
-          DIOPH_APPROX_OPTS, _run_dioph_approx)
-    _leaf(dsub, "exponent", "approximation-exponent estimate",
-          DIOPH_EXPONENT_OPTS, _run_dioph_exponent)
-    _leaf(dsub, "ext", "extended matrix of a 2-row block",
-          DIOPH_EXT_OPTS, _run_dioph_ext)
-    _leaf(dsub, "probe", "graded membership probe for W_r / W'_r",
-          DIOPH_PROBE_OPTS, _run_dioph_probe)
-
-    _leaf(top, "dirichlet", "improvability probe for the pigeonhole inequality",
-          DIRICHLET_OPTS, _run_dirichlet)
-
-    sim_p = top.add_parser("sim", help="orbit experiments on lattice space")
-    ssub = sim_p.add_subparsers(dest="subcommand", metavar="CMD")
-    _leaf(ssub, "translate", "flow-translate samples of a curve and record "
-          "shortest vectors and box counts", SIM_TRANSLATE_OPTS,
-          _run_sim_translate)
-    _leaf(ssub, "example", "base change and trapped line for a real quadratic "
-          "field", SIM_EXAMPLE_OPTS, _run_sim_example)
-
-    _leaf(top, "kempf", "steepest destabilizing one-parameter subgroup",
-          KEMPF_OPTS, _run_kempf)
-
-    roots_p = top.add_parser("roots", help="root systems and weight scans")
-    rsub = roots_p.add_subparsers(dest="subcommand", metavar="CMD")
-    _leaf(rsub, "build", "construct and verify a root system",
-          ROOTS_BUILD_OPTS, _run_roots_build)
-    _leaf(rsub, "check", "pairing-profile check for minuscule weight orbits",
-          ROOTS_CHECK_OPTS, _run_roots_check)
-
+    subs = {"": parser.add_subparsers(dest="group", metavar="GROUP")}
+    for command, help_text, opts, runner in COMMANDS:
+        group, _, name = command.rpartition(" ")
+        if group not in subs:
+            subs[group] = subs[""].add_parser(group, help=_GROUPS[group]).add_subparsers(
+                dest="subcommand", metavar="CMD")
+        p = subs[group].add_parser(name, help=help_text, description=help_text,
+                                   allow_abbrev=False)
+        opts = [*opts, _OUT]
+        for opt in opts:
+            p.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name, default=None,
+                           action="store_true" if opt.flag else "store", help=opt.help)
+        p.add_argument("--config", default=None,
+                       help="JSON file whose keys mirror the flags; flags override")
+        p.add_argument("--dry-run", action="store_true", default=False,
+                       help="validate and print the resolved plan, skip the run")
+        p.set_defaults(opts=opts, runner=runner, command=command)
     return parser
 
 
@@ -656,10 +588,12 @@ def main(argv=None) -> int:
     try:
         values = _resolve(args, args.opts, args.command)
         if args.dry_run:
-            print(json.dumps({"command": args.command, "plan": _plain(values)},
-                             indent=2, sort_keys=True))
-            return 0
-        return args.runner(values)
+            _emit({"command": args.command, "plan": values}, None)
+        else:
+            result = args.runner(values)
+            if result is not None:  # None: sim translate wrote its own output
+                _emit(result, values["out"])
+        return 0
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -133,7 +133,7 @@ def _shell_walk(af, form, qmax) -> List[ApproxRecord]:
     return records
 
 
-def _shell_points(h: int, ell: int) -> np.ndarray:
+def _shell_points(h: int, ell: int):
     """One q of each +-q pair with sup norm h, as a (k, ell) int array.
 
     Face j holds q_j = h with the earlier coordinates in (-h, h) and the later
@@ -170,7 +170,7 @@ def _scaled_target(form, qmax: int, ell: int):
     return np.array(nums, dtype=np.int64 if bound < 2**62 else object), den
 
 
-def _residual_keys(qs: np.ndarray, af: np.ndarray, scaled) -> np.ndarray:
+def _residual_keys(qs, af, scaled):
     """Rank key of max_i |A q + p|_i (p nearest) for each row q of qs: the
     float residual, or for a rational target its exact numerator over L."""
     import numpy as np

@@ -141,12 +141,23 @@ def _philox_doubles(seed: int, index: int) -> Iterator[float]:
             yield (w >> 11) * 2.0 ** -53
 
 
+# the least share of the cube [-1, 1]^k that the unit ball must hold, so that
+# a sample takes about 1000 draws at most: k <= 10
+_MIN_BALL_SHARE = 1e-3
+
+
 def sample_ball(curve: Curve, samples: int, seed: int) -> List[Tuple[float, ...]]:
     """Deterministic uniform samples from the curve's parameter ball: sample
     idx is the first point of the stream _philox_doubles(seed, idx) inside
-    the unit ball, mapped coordinate-wise by 2u - 1."""
-    pts = []
+    the unit ball, mapped coordinate-wise by 2u - 1. A curve whose ball holds
+    less than _MIN_BALL_SHARE of the cube is refused before the first draw."""
     k = curve.k
+    share = math.exp(k / 2 * math.log(math.pi) - math.lgamma(k / 2 + 1) - k * math.log(2))
+    if share < _MIN_BALL_SHARE:
+        raise InputError(f"a curve with k = {k} parameters is refused: the unit ball "
+                         f"holds {share:.2g} of the cube [-1, 1]^{k} that samples are "
+                         f"drawn from, below {_MIN_BALL_SHARE:g} (k <= 10)")
+    pts = []
     for idx in range(samples):
         draws = _philox_doubles(seed, idx)
         while True:

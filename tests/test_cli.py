@@ -371,6 +371,101 @@ def test_roots_check_all_refuses_the_single_check_flags(single, named, capsys):
     assert captured.err == f"error: roots check --all scans every weight; drop {named}\n"
 
 
+# times one in-process sim translate run of the curve in argv[1]
+_TIMED_TRANSLATE = """
+import contextlib, io, sys, time
+from latflow import cli
+err = io.StringIO()
+start = time.perf_counter()
+with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["sim", "translate", "--curve", sys.argv[1], "--t", "1",
+                     "--samples", "1", "--seed", "1"])
+print(code, time.perf_counter() - start, err.getvalue(), sep="\\n", end="")
+"""
+
+
+@pytest.mark.parametrize("k", [11, 24])
+def test_a_curve_with_too_many_parameters_exits_2_at_once(k, tmp_path):
+    """The unit ball holds 9.2e-4 of the cube [-1, 1]^k at k = 11 and 1.2e-10
+    at k = 24, so rejection sampling would take thousands to billions of
+    draws a sample: the run is refused before the first draw. It runs in a
+    child with a timeout, so a sampler that never ends fails the test."""
+    curve = write_k_curve(tmp_path / "k.json", k)
+    out = subprocess.run([sys.executable, "-c", _TIMED_TRANSLATE, curve], capture_output=True,
+                         text=True, timeout=30, check=True).stdout
+    code, seconds, err = out.split("\n", 2)
+    assert code == "2" and float(seconds) < 1.0
+    assert err.startswith(f"error: a curve with k = {k} parameters is refused: ")
+    assert "below 0.001 (k <= 10)" in err
+
+
+def test_a_ten_parameter_curve_still_samples(tmp_path, capsys):
+    curve = write_k_curve(tmp_path / "k10.json", 10)
+    assert cli.main(["sim", "translate", "--curve", curve, "--t", "1", "--samples", "3",
+                     "--seed", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 3 and all(len(row.split(",")[1].split(";")) == 10 for row in rows)
+
+
+@pytest.mark.parametrize("a", ["1,2;3", "0.1,0.2;0.3", "1;0.5,2", "0.5;x,1/0"])
+@pytest.mark.parametrize("dry", [False, True])
+def test_a_ragged_target_exits_2_before_its_entries_are_read(a, dry, capsys):
+    """Exact and decimal targets share one row-length check, made before any
+    entry is read, so a bad entry in a ragged target is not what is named,
+    and a dry run refuses it too."""
+    rows = [len(row.split(",")) for row in a.split(";")]
+    argv = ["dioph", "approx", "--a", a, "--qmax", "3"] + ["--dry-run"] * dry
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (f"error: ragged target matrix: rows 1 and 2 have "
+                                       f"{rows[0]} and {rows[1]} entries\n")
+
+
+# one valid argv of each command in cli.COMMANDS; CURVE is the parabola
+ONE_RUN = {
+    "dioph approx": "--a 1/3,1-r2 --qmax 5",
+    "dioph exponent": "--a 1/3,1-r2 --qmax 10",
+    "dioph ext": "--n 4 --a 1,2;3,4",
+    "dioph probe": "--a 0.41 --r 2 --qmax 3",
+    "dirichlet": "--x 0.41,0.73 --form lf --delta 0.5,0.1 --t 2,3",
+    "sim translate": "--curve CURVE --t 1,2 --samples 2 --seed 1",
+    "sim example": "--n 4 --r 2 --D 2",
+    "kempf": "--v 1,2,0,0,0,0 --rep wedge2 --n 4",
+    "roots build": "--family C --rank 2",
+    "roots check": "--family A --rank 2 --weight 1",
+}
+
+
+@pytest.mark.parametrize("command", [command for command, *_ in cli.COMMANDS])
+def test_out_holds_the_bytes_stdout_would(command, tmp_path, capsys):
+    """Every command writes its result through one writer: --out FILE gets
+    the bytes the run prints without it, and stdout reads `wrote FILE`."""
+    argv = command.split() + ONE_RUN[command].replace(
+        "CURVE", write_parabola(tmp_path / "p.json")).split()
+    out = tmp_path / "result"
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    assert printed
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert out.read_bytes() == printed.encode()
+
+
+def test_aggregates_are_written_the_same_with_and_without_out(tmp_path, capsys):
+    argv = ["sim", "translate", "--curve", write_parabola(tmp_path / "p.json"), "--t", "1,2",
+            "--samples", "2", "--seed", "1"]
+    out, agg, agg_with_out = tmp_path / "rows.csv", tmp_path / "a.json", tmp_path / "b.json"
+    assert cli.main(argv) == 0
+    csv = capsys.readouterr().out
+    assert cli.main(argv + ["--aggregates", str(agg)]) == 0
+    assert capsys.readouterr().out == f"{csv}wrote {agg}\n"
+    assert cli.main(argv + ["--out", str(out), "--aggregates", str(agg_with_out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\nwrote {agg_with_out}\n"
+    assert out.read_bytes() == csv.encode()
+    assert agg.read_bytes() == agg_with_out.read_bytes()
+    payload = json.loads(agg.read_text())
+    assert agg.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 # Checks a command makes when it runs, which --dry-run leaves to the run;
 # the cli docstring and README name each of them
 RUN_TIME_CHECKS = [
@@ -381,15 +476,28 @@ RUN_TIME_CHECKS = [
      "roots check needs either --all or all three of --family, --rank, --weight"),
     (["roots", "check", "--all", "--family", "D"],
      "roots check --all scans every weight; drop --family"),
+    (["sim", "translate", "--curve", "K11", "--t", "1", "--samples", "1", "--seed", "1"],
+     "a curve with k = 11 parameters is refused: the unit ball holds 0.00092 of the "
+     "cube [-1, 1]^11 that samples are drawn from, below 0.001 (k <= 10)"),
 ]
+
+
+def write_k_curve(path, k):
+    """The parabola in its first of k parameters."""
+    first = [1] + [0] * (k - 1)
+    path.write_text(json.dumps({"n": 3, "k": k, "coords": [
+        {"monomials": [{"exps": first, "coeff": "1"}]},
+        {"monomials": [{"exps": [2 * e for e in first], "coeff": "1"}]}]}))
+    return str(path)
 
 
 @pytest.mark.parametrize("argv, message", RUN_TIME_CHECKS,
                          ids=["kempf-wedge2-matrix", "dioph-ext-n3", "roots-check-no-weight",
-                              "roots-check-all-family"])
-def test_a_dry_run_leaves_the_run_time_checks_to_the_run(argv, message, capsys):
+                              "roots-check-all-family", "sim-translate-k11"])
+def test_a_dry_run_leaves_the_run_time_checks_to_the_run(argv, message, tmp_path, capsys):
     """--dry-run checks each option's value alone: these plans pass it, and
     the run refuses them with exit 2."""
+    argv = [write_k_curve(tmp_path / "k11.json", 11) if a == "K11" else a for a in argv]
     assert cli.main([*argv, "--dry-run"]) == 0
     assert capsys.readouterr().err == ""
     assert cli.main(argv) == 2

@@ -1,11 +1,14 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "latflow"
@@ -134,6 +137,30 @@ def test_dioph_builds_records_in_one_place():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "ApproxRecord" and node.lineno not in inside]
     assert len(inside) > 2 and found == []
+
+
+def test_every_annotation_resolves():
+    """typing.get_type_hints resolves for each function, method and class
+    defined in src/latflow: an annotation names only what its module binds
+    at the top level, and numpy is bound only inside functions."""
+    unresolved = []
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        module = importlib.import_module(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                members = [getattr(m, "__func__", getattr(m, "fget", m)) for m in vars(obj).values()]
+                defs = [obj] + [m for m in members if inspect.isfunction(m)]
+            else:
+                defs = [obj] if inspect.isfunction(obj) else []
+            for d in defs:
+                try:
+                    typing.get_type_hints(d)
+                except NameError as exc:
+                    unresolved.append(f"{module.__name__}.{d.__qualname__}: {exc}")
+    assert unresolved == []
 
 
 # Commands that compute with integers, Fractions and floats alone, so they
