@@ -9,14 +9,19 @@ minimum and the box count, with the expanding coordinate recomputed per
 candidate from scaled integers, so that the huge e^{(n-1)t} scale never
 meets float cancellation.
 
-Each sample is reduced along one fixed chain of integer times: Z_1 is
-reduced from the identity and Z_k from Z_{k-1}.  A time t > 1 is reduced
-from Z_{ceil(t)-1} (an integer t is Z_t itself) and t < 1 from the
-identity, so every reduction starts from a nearly reduced basis, and a row
-depends on (sample, t) alone, never on the other times in the grid.  The
-candidates of the enumeration are scored in the reduced basis, from the
-head numerators c . z_i and the integer tail rows of the basis z, which are
-computed once per basis.
+Each sample reduces only at the positive times of its grid, in increasing
+order, each from the basis reduced at the time before it (the first from
+the identity, the basis at t = 0).  A step of Delta multiplies the ratio of
+the head and tail scales by e^{n Delta}, so a gap with n Delta > 18 (e^18 <
+2^26, the float-LLL bound of Schnorr and Euchner) is crossed in
+ceil(n Delta / 18) equal steps whose reductions are not scored; every
+reduction thus starts from a nearly reduced basis.  Times t <= 0 are
+reduced from the identity.  lambda_1 and the box count are lattice
+invariants, so a row depends on (sample, t) alone, never on the other
+times in the grid; its basis, and so the enumeration's node count, follows
+the grid.  The candidates of the enumeration are scored in the reduced
+basis, from the head numerators c . z_i and the integer tail rows of the
+basis z, which are computed once per basis.
 
 Sampling is reproducible across platforms: one Philox substream per sample
 index, seeded as (seed, index), so reports are bit-identical for a fixed
@@ -34,7 +39,7 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import BudgetError, InputError, InvariantError
 from ..exact import ExactScalar
@@ -203,24 +208,27 @@ def _flow_reduce(
     return reduction.reduce_embedded(embed, n, start)
 
 
-def _chained_reduction(
+# the largest n Delta of one step of the schedule (see the module docstring)
+_MAX_STEP = 18
+
+
+def _scheduled_reductions(
     form: Tuple[Sequence[int], int],
     n: int,
-    t: float,
-    chain: List[Reduced],
-) -> Reduced:
-    """_flow_reduce at t on the sample's chain of integer times (see the
-    module docstring); chain[k - 1] holds Z_k and is extended as far as t
-    needs."""
-    if t < 1:
-        return _flow_reduce(form, n, t)
-    k = math.ceil(t)
-    while len(chain) < (k if t == k else k - 1):
-        chain.append(_flow_reduce(form, n, float(len(chain) + 1),
-                                  chain[-1][0] if chain else None))
-    if t == k:
-        return chain[k - 1]
-    return _flow_reduce(form, n, t, chain[k - 2][0])
+    t_list: Sequence[float],
+) -> Dict[float, Tuple[Reduced, float]]:
+    """_flow_reduce at every t of t_list on the sample's schedule (see the
+    module docstring), as t -> (reduced basis, the time its start was
+    reduced at; 0.0 for the identity)."""
+    out = {t: (_flow_reduce(form, n, t), 0.0) for t in t_list if t <= 0}
+    prev, start = 0.0, None
+    for t in sorted(t for t in t_list if t > 0):
+        steps = math.ceil(n * (t - prev) / _MAX_STEP)
+        for at in [prev + (t - prev) * i / steps for i in range(1, steps)] + [t]:
+            from_t, basis = prev, _flow_reduce(form, n, at, start)
+            prev, start = at, basis[0]
+        out[t] = (basis, from_t)
+    return out
 
 
 def _flow_stats(
@@ -374,13 +382,14 @@ def translate_experiment(
     rows: List[ExperimentRow] = []
     for idx, pt in enumerate(pts):
         form = _head_form(curve_eval(curve, [Fraction(x) for x in pt]))
-        chain: List[Reduced] = []
+        reduced = _scheduled_reductions(form, n, t_list)
         for t in t_list:
+            basis, start = reduced[t]
             try:
-                lam1, count = _flow_stats(form, n, t, box_radius, node_budget,
-                                          _chained_reduction(form, n, t, chain))
+                lam1, count = _flow_stats(form, n, t, box_radius, node_budget, basis)
             except BudgetError as exc:
-                raise BudgetError(f"sample {idx}, t = {t!r}: {exc}") from exc
+                raise BudgetError(f"sample {idx}, t = {t!r} (reduced from t = {start!r}): "
+                                  f"{exc}") from exc
             if lam1 > 1 + 1e-9:  # Minkowski: a unimodular lattice has lambda_1 <= 1
                 raise InvariantError(f"sample {idx}, t = {t!r}: lambda_1 = {lam1!r} "
                                      "exceeds Minkowski's bound 1")

@@ -29,8 +29,8 @@ pass, so the result is bit-identical to recomputing in every sweep.
 reduce_embedded is the one LLL routine; lll_with_transform adapts a list
 of columns to it.  It can start from a given unimodular transform instead
 of the identity.  The flow experiments reduce g_t u(phi) Z^n from the
-basis reduced one unit of time earlier, which is nearly reduced already,
-so a reduction takes few sweeps at any t.
+basis reduced at the time before it, never more than 18/n earlier, which
+is nearly reduced already, so a reduction takes few sweeps at any t.
 
 The flow experiments need two numbers per lattice, the sup-norm first
 minimum and the box count; sup_first_minimum gets both from one walk of
@@ -278,16 +278,18 @@ def sup_first_minimum(
     expanding coordinate without cancellation), so each candidate of the
     enumeration is scored from its coefficients directly.  One walk serves
     both numbers: it keeps the vectors of sup norm at most
-    r = max(best, box_radius + 1e-9) (1 + 1e-9), best the float sup of the
-    shortest column until a leaf scores lower (that column is a leaf too),
-    so the first minimum and every vector in the box are scored, and the
-    Euclidean ball of radius sqrt(n) r holds them all.  The count is always
-    even, since v and -v land in the box together.
+    r = max(best, limit) (1 + 1e-9), best the float sup of the shortest
+    column until a leaf scores lower (that column is a leaf too), so the
+    first minimum and every vector in the box are scored, and the Euclidean
+    ball of radius sqrt(n) r holds them all.  A vector is in the box if its
+    sup is at most limit = box_radius (1 + 1e-9), a margin relative to the
+    radius, so a tiny box counts no vector far outside it.  The count is
+    always even, since v and -v land in the box together.
     """
     if not box_radius > 0:
         raise InputError("box radius must be positive")
     top = min(max(map(abs, col)) for col in b)
-    limit = box_radius + 1e-9
+    limit = box_radius * (1.0 + 1e-9)
     box = max(top, limit) * (1.0 + 1e-9)
     best = math.inf
     half = 0

@@ -190,12 +190,14 @@ def test_budget_exhaustion_exits_3(tmp_path):
                   "--budget", "100")
     assert res.returncode == 3
     assert "budget" in res.stderr.lower()
-    # the flow kernel says where it stopped: sample, t and the node budget
+    # the flow kernel says where it stopped: sample, t, the time its basis
+    # was reduced from and the node budget
     curve = write_parabola(tmp_path / "p.json")
     res = run_cli("sim", "translate", "--curve", curve, "--t", "2,4", "--samples", "3",
                   "--seed", "1", "--budget", "5")
     assert res.returncode == 3
     assert "sample 0" in res.stderr and "t = 2.0" in res.stderr
+    assert "(reduced from t = 0.0)" in res.stderr
     assert "node budget (5)" in res.stderr
 
 

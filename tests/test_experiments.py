@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 from fractions import Fraction
 
@@ -11,16 +12,17 @@ import numpy as np
 import pytest
 
 import oracles
-from latflow.errors import InputError, InvariantError
+import test_golden
+from latflow.errors import BudgetError, InputError, InvariantError
 from latflow.exact import ExactScalar
-from latflow.flows import Curve, curve_eval
+from latflow.flows import Curve, curve_eval, curve_from_json
 from latflow.lab import experiments, reduction
 from latflow.lab.experiments import (
-    _chained_reduction,
     _flow_reduce,
     _flow_stats,
     _head_form,
     _head_value,
+    _scheduled_reductions,
     atomic_write_text,
     sample_ball,
     translate_experiment,
@@ -264,6 +266,32 @@ def test_a_first_minimum_above_minkowski_bound_raises(monkeypatch):
         translate_experiment(_parabola(), [1.0], samples=1, eps=0.1, box_radius=1.5, seed=1)
 
 
+def test_a_budget_error_names_the_time_its_basis_was_reduced_from(monkeypatch):
+    """t = 8 after t = 2 at n = 4 is two steps, 5 and 8: the error names
+    the unscored step at 5 as the start of the basis the walk ran out on."""
+    def out_of_budget(form, n, t, *args):
+        if t == 8.0:
+            raise BudgetError("enumeration exceeded the node budget (5)")
+        return 0.5, 0
+
+    monkeypatch.setattr(experiments, "_flow_stats", out_of_budget)
+    with pytest.raises(BudgetError, match=r"^sample 0, t = 8\.0 \(reduced from t = 5\.0\): "
+                                          r"enumeration exceeded the node budget \(5\)$"):
+        translate_experiment(_moment(4), [2.0, 8.0], samples=1, eps=0.1, box_radius=1.0, seed=1)
+
+
+def test_a_tiny_box_counts_only_the_vectors_inside_it():
+    """On the rational line at t = 25 lambda1 is 8.33e-11 for every sample,
+    and the box count follows the radius down to zero: the box margin is
+    relative, 1e-9 of R, not an absolute 1e-9."""
+    curve = curve_from_json(test_golden.RATIONAL_LINE)
+    for radius, count in ((1e-9, 24), (1e-10, 2), (1e-11, 0)):
+        rep = translate_experiment(curve, [25.0], samples=3, eps=0.1, box_radius=radius,
+                                   seed=1)
+        assert [r.siegel_count for r in rep.rows] == [count] * 3, radius
+        assert all(r.lambda1 == pytest.approx(8.3328e-11, rel=1e-4) for r in rep.rows)
+
+
 def test_negative_time_at_n3():
     """n = 3 takes t < 0 like every other n, and its minima match the scan."""
     rep = translate_experiment(_parabola(), [-1.0], samples=6, eps=0.1, box_radius=1.5, seed=12)
@@ -450,37 +478,157 @@ def test_a_row_does_not_depend_on_the_other_times_asked_for(n):
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_warm_started_reduction_gives_the_cold_numbers(n):
     """(lambda1, box count) does not depend on the basis the enumeration
-    starts from: reduced from the identity or from the chain's Z_{ceil(t)-1}."""
+    starts from: reduced from the identity or on the sample's schedule."""
     curve = _parabola() if n == 3 else _moment(n)
     for pt in sample_ball(curve, 6, 8):
         form = _head_form(curve_eval(curve, [Fraction(x) for x in pt]))
-        chain = []
+        scheduled = _scheduled_reductions(form, n, [1.5, 4.0, 8.0])
         for t in (1.5, 4.0, 8.0):
-            _chained_reduction(form, n, t, chain)  # fills Z_1 .. Z_{ceil(t)-1}
-            warm = _flow_reduce(form, n, t, chain[math.ceil(t) - 2][0])
+            warm, _ = scheduled[t]
             cold = _flow_reduce(form, n, t)
             assert (_flow_stats(form, n, t, 1.0, DEFAULT_NODE_BUDGET, warm)
                     == _flow_stats(form, n, t, 1.0, DEFAULT_NODE_BUDGET, cold))
 
 
-@pytest.mark.parametrize("grid, per_sample", [("6", 6), ("2,4,6,8", 8), ("6.5", 7),
-                                              ("2,6.5,8", 9), ("0.5,1", 2), ("8,2", 8)])
-def test_reductions_follow_the_unit_step_schedule(monkeypatch, grid, per_sample):
-    """Z_1 .. Z_{ceil(t)-1} once per sample, one more reduction per t that
-    is not on the chain, and none for an integer t already reduced."""
+def _recorded_reductions(monkeypatch):
+    """The (t, start time) of every _flow_reduce call of the schedule, the
+    start time None for the identity; the start is matched to the call
+    that returned it."""
     calls = []
-    real = reduction.reduce_embedded
+    reduced_at = {}
+    real = experiments._flow_reduce
 
-    def counted(embed, ncols, start=None):
-        calls.append(start is None)
-        return real(embed, ncols, start)
+    def recorded(form, n, t, start=None):
+        calls.append((t, None if start is None else reduced_at[id(start)]))
+        out = real(form, n, t, start)
+        reduced_at[id(out[0])] = t
+        return out
 
-    monkeypatch.setattr(reduction, "reduce_embedded", counted)
+    monkeypatch.setattr(experiments, "_flow_reduce", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("grid, per_sample", [("6", 2), ("2,4,6,8", 4), ("6.5", 2),
+                                              ("2,6.5,8", 3), ("0.5,1", 2), ("8,2", 3),
+                                              ("-1,0,3", 3), ("20", 5)])
+def test_reductions_follow_the_grid_in_bounded_steps(monkeypatch, grid, per_sample):
+    """One reduction per positive grid time, in increasing order, each from
+    the one before it; a gap with n Delta > 18 is crossed in ceil(n Delta /
+    18) equal steps, so no start lies more than 18/n below its time, and
+    only a time <= 18/n starts from the identity (n = 4 here)."""
+    calls = _recorded_reductions(monkeypatch)
     t_grid = [float(t) for t in grid.split(",")]
     translate_experiment(_moment(4), t_grid, samples=2, eps=0.1, box_radius=1.0, seed=1)
     assert len(calls) == 2 * per_sample
-    # only Z_1 and the times below 1 start from the identity
-    assert calls.count(True) == 2 * (1 + sum(1 for t in t_grid if t < 1))
+    for t, start in calls:
+        if start is None:
+            assert t <= 18 / 4, (grid, t)
+        else:
+            assert 0 < t - start <= 18 / 4 * (1 + 1e-12), (grid, t, start)
+    positive = sorted(t for t in t_grid if t > 0)
+    assert [t for t, _ in calls[:per_sample] if t in positive] == positive
+
+
+def test_a_far_time_alone_gives_the_rows_of_the_stepped_grid():
+    """moment6 at t = 8 alone (n Delta = 48, crossed in 3 steps) gives the
+    t = 8 rows of the grid 2, 4, 6, 8, whose steps are the grid's own; a
+    cold reduction at t = 8 makes a basis the enumeration walks at length."""
+    curve = _moment(6)
+    alone = translate_experiment(curve, [8.0], samples=6, eps=0.1, box_radius=1.0, seed=8)
+    grid = translate_experiment(curve, [2.0, 4.0, 6.0, 8.0], samples=6, eps=0.1,
+                                box_radius=1.0, seed=8)
+    assert alone.rows == [r for r in grid.rows if r.t == 8.0]
+
+
+def _unit_chain(form, n, t_list):
+    """The unit-step chain: Z_k at the integer time k from Z_(k-1) (Z_1
+    from the identity), t > 1 from Z_(floor(t)) and t < 1 from the
+    identity."""
+    chain = []  # chain[k - 1] is Z_k
+    out = {}
+    for t in t_list:
+        if t < 1:
+            out[t] = (_flow_reduce(form, n, t), 0.0)
+            continue
+        k = math.floor(t)
+        while len(chain) < k:
+            chain.append(_flow_reduce(form, n, float(len(chain) + 1),
+                                      chain[-1][0] if chain else None))
+        if t == k:
+            out[t] = (chain[k - 1], k - 1.0)
+        else:
+            out[t] = (_flow_reduce(form, n, t, chain[k - 1][0]), float(k))
+    return out
+
+
+def _cold(form, n, t_list):
+    """Every t reduced from the identity."""
+    return {t: (_flow_reduce(form, n, t), 0.0) for t in t_list}
+
+
+def _unimodular(rng, n):
+    """A random unimodular n x n integer matrix, as columns: a product of
+    unit triangular matrices with entries in [-2, 2] and a permutation."""
+    m = [[int(i == j) for i in range(n)] for j in range(n)]
+    for _ in range(2):
+        for j in range(n):
+            for i in range(j):
+                c = rng.randint(-2, 2)
+                m[j] = [a + c * b for a, b in zip(m[j], m[i])]
+                c = rng.randint(-2, 2)
+                m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    rng.shuffle(m)
+    return m
+
+
+def _scrambled(monkeypatch):
+    """The schedule with the start of every reduction (the identity too)
+    multiplied by a random unimodular matrix drawn from a fixed seed."""
+    rng = random.Random(43)
+    real = experiments._flow_reduce
+
+    def scrambled(form, n, t, start=None):
+        if start is None:
+            start = [[int(i == j) for i in range(n)] for j in range(n)]
+        u = _unimodular(rng, n)
+        start = [[sum(c * z[i] for c, z in zip(col, start)) for i in range(n)] for col in u]
+        return real(form, n, t, start)
+
+    monkeypatch.setattr(experiments, "_flow_reduce", scrambled)
+
+
+# the five golden cases (tests/test_golden.py) and a moment5 curve
+SCHEDULE_CASES = dict(test_golden.CASES, moment5=(
+    test_golden._curve(5, [1, 2, 3, 4], **test_golden.MOMENT_BALL), "1,3,5", "1.0", 6))
+
+
+def _schedule_grid(name, schedule):
+    """The case's t grid; for the cold schedule only its t with n t <= 18,
+    where a reduction from the identity is sound."""
+    data, grid, _, _ = SCHEDULE_CASES[name]
+    return [float(t) for t in grid.split(",")
+            if schedule != "cold" or data["n"] * float(t) <= 18]
+
+
+@pytest.mark.parametrize("name, schedule", [
+    (name, schedule) for name in sorted(SCHEDULE_CASES)
+    for schedule in ("unit-chain", "cold", "scrambled") if _schedule_grid(name, schedule)])
+def test_rows_do_not_depend_on_the_schedule(monkeypatch, name, schedule):
+    """lambda1 and the box count are lattice invariants, so each row is
+    bit-identical whichever basis the enumeration starts from: the grid
+    schedule, the unit-step chain, a fresh reduction from the identity and
+    a start scrambled by a random unimodular matrix."""
+    data, _, radius, samples = SCHEDULE_CASES[name]
+    curve = curve_from_json(data)
+    t_grid = _schedule_grid(name, schedule)
+    kw = dict(samples=samples, eps=0.1, box_radius=float(radius), seed=1)
+    want = translate_experiment(curve, t_grid, **kw).rows
+    if schedule == "scrambled":
+        _scrambled(monkeypatch)
+    else:
+        monkeypatch.setattr(experiments, "_scheduled_reductions",
+                            _unit_chain if schedule == "unit-chain" else _cold)
+    assert translate_experiment(curve, t_grid, **kw).rows == want
 
 
 def _negated(curve):

@@ -39,9 +39,10 @@ def _curve(n, exps, center=(0.0,), radius=1.0):
 
 
 # name -> (curve, t grid, box radius, samples), at seed 1 each; moment4_t16
-# is a large t, where the chain of warm-started reductions keeps the
-# enumeration inside its node budget; most candidates of rational_line lie
-# on the boundary of the box, where the enumeration's sup-box clip cuts
+# is a large t, reached in four warm-started steps of n Delta = 16 (at most
+# 18 each), which keep the enumeration inside its node budget; most
+# candidates of rational_line lie on the boundary of the box, where the
+# enumeration's sup-box clip cuts
 CASES = {
     "parabola": (_curve(3, [1, 2]), "2,6", "1.5", 6),
     "moment4": (_curve(4, [1, 2, 3], **MOMENT_BALL), "2,4,6,8", "1.0", 6),

@@ -14,10 +14,10 @@ from latflow.exact import ExactScalar
 from latflow.flows import Curve, curve_eval
 from latflow.lab import reduction
 from latflow.lab.experiments import (
-    _chained_reduction,
     _flow_stats,
     _head_form,
     _head_value,
+    _scheduled_reductions,
     translate_experiment,
 )
 from latflow.lab.reduction import (
@@ -255,7 +255,7 @@ def _ball_points(b, radius):
 
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_sup_box_walk_matches_an_unpruned_enumeration_on_flow_bases(n, monkeypatch):
-    """On the chain's reduced bases of the moment curve (t = 0..8), the
+    """On the schedule's reduced bases of the moment curve (t = 0..8), the
     pruned walk gives the (lambda1, box count) of scoring every point of
     the Euclidean ball sqrt(n) max(best column, R) with the same sup_of."""
     seen = []
@@ -271,16 +271,15 @@ def test_sup_box_walk_matches_an_unpruned_enumeration_on_flow_bases(n, monkeypat
     rng = np.random.default_rng(78)
     for _ in range(3 if n < 6 else 2):
         form = _head_form(curve_eval(curve, [Fraction(int(rng.integers(-997, 998)), 997)]))
-        chain = []
+        scheduled = _scheduled_reductions(form, n, [float(t) for t in range(9)])
         for t in range(9):
             for radius in (0.3, 1.0):
-                got = _flow_stats(form, n, float(t), radius, 10**6,
-                                  _chained_reduction(form, n, float(t), chain))
+                got = _flow_stats(form, n, float(t), radius, 10**6, scheduled[float(t)][0])
                 b, sup_of, _ = seen[-1]
                 best = min(sup_of([int(i == j) for i in range(n)]) for j in range(n))
                 scores = [sup_of(zc) for zc in
                           _ball_points(b, max(best, radius) * math.sqrt(n) * (1.0 + 1e-9))]
-                want = (min([best] + scores), 2 * sum(s <= radius + 1e-9 for s in scores))
+                want = (min([best] + scores), 2 * sum(s <= radius * (1 + 1e-9) for s in scores))
                 assert got == want, (n, t, radius)
 
 
@@ -441,8 +440,8 @@ def test_lll_kernel_matches_full_recompute_oracle_bit_for_bit():
 
 
 def test_warm_started_lll_matches_full_recompute_oracle_bit_for_bit():
-    """From the basis reduced one unit of time earlier, as the flow
-    experiments chain their reductions, kernel and oracle agree too."""
+    """From a basis reduced earlier on the flow, as the flow experiments
+    start each reduction, kernel and oracle agree too."""
     rng = np.random.default_rng(76)
     for n in (3, 4, 6):
         for t in (1.5, 2.0, 4.0, 8.0, 12.0):
