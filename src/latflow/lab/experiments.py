@@ -21,7 +21,10 @@ invariants, so a row depends on (sample, t) alone, never on the other
 times in the grid; its basis, and so the enumeration's node count, follows
 the grid.  The candidates of the enumeration are scored in the reduced
 basis, from the head numerators c . z_i and the integer tail rows of the
-basis z, which are computed once per basis.
+basis z, which are computed once per basis; a long run of the last level
+of the enumeration is scored at once and exactly (_flow_scorers), so a
+lattice deep in the cusp costs a few evaluations per run, not one per box
+point.
 
 Sampling is reproducible across platforms: one Philox substream per sample
 index, seeded as (seed, index), so reports are bit-identical for a fixed
@@ -48,8 +51,9 @@ from . import reduction
 
 _SQRT_BITS = 80
 
-# (z, b) of reduction.reduce_embedded: integer coordinates and float columns
-Reduced = Tuple[List[List[int]], reduction.Columns]
+# (z, b, gs) of reduction.reduce_embedded: integer coordinates, float columns
+# and their Gram-Schmidt rows
+Reduced = Tuple[List[List[int]], reduction.Columns, reduction.GramSchmidt]
 
 
 def _head_form(phi: Sequence[ExactScalar]) -> Tuple[List[int], int]:
@@ -195,7 +199,7 @@ def _flow_reduce(
     start: Optional[List[List[int]]] = None,
 ) -> Reduced:
     """g_t u(phi) Z^n LLL-reduced from the unimodular transform start (the
-    identity if None), as (z, b) from reduction.reduce_embedded; each column
+    identity if None), as (z, b, gs) from reduction.reduce_embedded; each column
     is embedded from its integer coordinates with the head evaluated from
     form = _head_form(phi)."""
     e_head, e_tail = _flow_scales(n, t)
@@ -231,6 +235,92 @@ def _scheduled_reductions(
     return out
 
 
+def _last_within(scale: float, q: int, limit: float) -> int:
+    """The largest integer m >= 0 with scale * (m / q) <= limit, for positive
+    scale and limit.  m / q is correctly rounded, so the m that pass are
+    those whose quotient rounds to at most d, the largest double with
+    scale * d <= limit: they end at the midpoint of d and the next double."""
+    d = limit / scale
+    while scale * d > limit:
+        d = math.nextafter(d, 0.0)
+    while scale * math.nextafter(d, math.inf) <= limit:
+        d = math.nextafter(d, math.inf)
+    (a, b), (c, e) = d.as_integer_ratio(), math.nextafter(d, math.inf).as_integer_ratio()
+    m = (a * e + c * b) * q // (2 * b * e)  # the floor of the midpoint times q
+    return m if m / q <= d else m - 1
+
+
+def _first_true(pred: Callable[[int], bool], lo: int, hi: int) -> int:
+    """The least z in [lo, hi] with pred(z), or hi + 1 if none, by
+    bisection; pred is false up to some z and true from there on."""
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _flow_scorers(
+    e_head: float,
+    e_tail: float,
+    q: int,
+    heads: Sequence[int],
+    tails: Sequence[Sequence[int]],
+) -> Tuple[Callable[[List[int]], float], reduction.RunScorer]:
+    """(sup_of, score_run) of reduction.sup_first_minimum for a basis whose
+    column i has the head heads[i] / q and the tail coordinates tails[j][i],
+    under g_t's scales e_head and e_tail.
+
+    Along a run each coordinate, H . zc or tails[j] . zc, is an integer
+    a z_0 + c, made a >= 0, and its score is a non-decreasing function of
+    |a z_0 + c|.  So the count is the length of an intersection of integer
+    intervals: each |a z_0 + c| at most the largest integer whose score is
+    within limit (_last_within, once per walk).  Since |y| = max(y, -y), the
+    sup is the larger of a rising half (the scores of every a z_0 + c) and a
+    falling half (those of every -(a z_0 + c)), so the least sup is at the
+    first z_0 where the rising half is the larger, found by bisection, or
+    just before it; both are scored with sup_of.
+    """
+    rows = [heads, *tails]
+    within: Optional[Tuple[int, int]] = None  # (head, tail) bounds at limit
+
+    def sup_of(zc: List[int]) -> float:
+        tail = max(map(abs, [sum(map(mul, row, zc)) for row in tails]), default=0)
+        return max(abs(e_head * (sum(map(mul, heads, zc)) / q)), e_tail * tail)
+
+    def score_run(zc: List[int], lo: int, hi: int, limit: float) -> Tuple[float, int]:
+        nonlocal within
+        if within is None:
+            within = _last_within(e_head, q, limit), _last_within(e_tail, 1, limit)
+        first, last = lo, hi
+        lines = []  # each coordinate along the run as a z_0 + c, a >= 0
+        for row, bound in zip(rows, [within[0]] + [within[1]] * len(tails)):
+            a = row[0]
+            c = sum(map(mul, row, zc))
+            if a < 0:
+                a, c = -a, -c
+            if a:  # -bound <= a z_0 + c <= bound
+                first = max(first, -((bound + c) // a))
+                last = min(last, (bound - c) // a)
+            elif abs(c) > bound:
+                last = first - 1
+            lines.append((a, c))
+        (h, hc), *tail_lines = lines
+
+        def rises(z0: int) -> bool:  # the rising half of the sup is the larger
+            x = e_head * ((h * z0 + hc) / q)
+            ys = [a * z0 + c for a, c in tail_lines]
+            return max(x, e_tail * max(ys, default=0)) >= max(-x, e_tail * -min(ys, default=0))
+
+        cross = _first_true(rises, lo, hi)
+        low = min(sup_of([z0, *zc[1:]]) for z0 in (cross - 1, cross) if lo <= z0 <= hi)
+        return low, max(last - first + 1, 0)
+
+    return sup_of, score_run
+
+
 def _flow_stats(
     form: Tuple[Sequence[int], int],
     n: int,
@@ -240,23 +330,18 @@ def _flow_stats(
     reduced: Reduced,
 ) -> Tuple[float, int]:
     """(sup-norm first minimum, box count) of g_t u(phi) Z^n from one
-    enumeration of its reduced basis reduced = (z, b), from _flow_reduce.
+    enumeration of its reduced basis reduced = (z, b, gs), from _flow_reduce.
 
     The head of a candidate zc is H . zc over q with H_i = c . z_i: the
     same correctly rounded int / q as the head of its coordinates
     sum_i zc_i z_i, so every value is bit-identical to scoring those.
     """
     e_head, e_tail = _flow_scales(n, t)
-    z, b = reduced
+    z, b, gs = reduced
     coeffs, q = form
     heads = [sum(map(mul, coeffs, col)) for col in z]
-    tails = list(zip(*z))[1:]
-
-    def sup_of(zc: List[int]) -> float:
-        tail = max(map(abs, [sum(map(mul, row, zc)) for row in tails]), default=0)
-        return max(abs(e_head * (sum(map(mul, heads, zc)) / q)), e_tail * tail)
-
-    return reduction.sup_first_minimum(b, sup_of, box_radius, budget)
+    sup_of, score_run = _flow_scorers(e_head, e_tail, q, heads, list(zip(*z))[1:])
+    return reduction.sup_first_minimum(b, sup_of, box_radius, budget, score_run, gs)
 
 
 @dataclass(frozen=True)

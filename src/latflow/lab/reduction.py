@@ -36,7 +36,20 @@ The flow experiments need two numbers per lattice, the sup-norm first
 minimum and the box count; sup_first_minimum gets both from one walk of
 enumerate_ball's tree, pruned by the sup box too (_walk).  It scores each
 candidate from its coefficients in the reduced basis, so no candidate is
-mapped back to the original coordinates.
+mapped back to the original coordinates.  reduce_embedded hands the walk its
+finished Gram-Schmidt rows, which are gram_schmidt(b) bit for bit.
+
+A run is the candidates a level-0 node of the walk keeps: z_0 = lo..hi after
+the sup-box clip, with z_1.. fixed by the levels above.  A caller that can
+score a whole run exactly (the flow experiments, whose sup norm is a
+monotone function of integers affine in z_0) gets each run of at least
+_LONG_RUN candidates in one call, so a lattice with a very short vector (a
+cusp, whose box holds long runs of its multiples) costs per run, not per
+box point; shorter runs are scored point by point.  A run is not tested
+against the Euclidean ball, and need not be: a candidate outside the ball
+has a sup above the walk's first box, hence above both the first minimum
+and the box radius, so it changes neither number.  A run adds hi - lo + 1
+nodes, as scoring it point by point would.
 """
 
 from __future__ import annotations
@@ -49,11 +62,16 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..errors import BudgetError, InputError, InvariantError
 
 DEFAULT_NODE_BUDGET = 5_000_000
+_LONG_RUN = 8  # the shortest level-0 run scored at once (module docstring)
 _LLL_MAX_SWEEPS = 100_000
 _LLL_DELTA = 0.99  # Lovasz constant
 
 Column = Sequence[float]
 Columns = List[List[float]]
+# (bstar, mu, norms2) of gram_schmidt
+GramSchmidt = Tuple[List[List[float]], List[List[float]], List[float]]
+# score_run(zc, lo, hi, limit) of sup_first_minimum
+RunScorer = Callable[[List[int], int, int, float], Tuple[float, int]]
 
 
 def _gs_rows(cols: List[Column], bstar: List[List[float]], mu: List[List[float]],
@@ -92,8 +110,7 @@ def _check_columns(cols: Sequence[Column]) -> None:
                              "its squared norm is not a finite double")
 
 
-def gram_schmidt(cols: Sequence[Column]) -> Tuple[List[List[float]], List[List[float]],
-                                                  List[float]]:
+def gram_schmidt(cols: Sequence[Column]) -> GramSchmidt:
     """Gram-Schmidt of the columns (each a sequence of floats): returns
     (bstar, mu, norms2) as lists, with bstar[i] the orthogonalized column i
     and mu[i][j] = <b_i, b*_j>/<b*_j, b*_j> for j < i.
@@ -115,14 +132,16 @@ def reduce_embedded(
     embed: Callable[[List[int]], Column],
     ncols: int,
     start: Optional[Sequence[Sequence[int]]] = None,
-) -> Tuple[List[List[int]], Columns]:
+) -> Tuple[List[List[int]], Columns, GramSchmidt]:
     """Run LLL on the lattice spanned by embed(e_0), ..., embed(e_{ncols-1}).
 
     embed returns a list of floats.  start, if given, is a unimodular
     transform (ncols integer coordinate vectors) to begin from instead of
-    the identity.  Returns (z, b): z[i] is the integer coordinate vector of
-    reduced column i in terms of the original columns, b[i] = embed(z[i])
-    its float column.
+    the identity.  Returns (z, b, gs): z[i] is the integer coordinate vector
+    of reduced column i in terms of the original columns, b[i] = embed(z[i])
+    its float column, and gs the Gram-Schmidt rows of b, equal to
+    gram_schmidt(b) bit for bit (the rows kept across sweeps are finished
+    with the same routine).
     """
     if start is None:
         start = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
@@ -162,12 +181,13 @@ def reduce_embedded(
             cols[k], cols[k - 1] = cols[k - 1], cols[k]
             valid = k - 1
             k = max(k - 1, 1)
-    return z, cols
+    _gs_rows(cols, bstar, mu, norms2, valid, ncols)
+    return z, cols, (bstar, mu, norms2)
 
 
 def lll_with_transform(cols: Sequence[Column]) -> Tuple[List[List[int]], Columns]:
-    """LLL-reduce the columns; returns (z, b) as reduce_embedded does, with
-    each reduced column b[i] the fsum of the basis rows times z[i]."""
+    """LLL-reduce the columns; returns (z, b) of reduce_embedded, with each
+    reduced column b[i] the fsum of the basis rows times z[i]."""
     m = len(cols)
     n = len(cols[0]) if m and isinstance(cols[0], Sequence) else 0
     if not all(isinstance(col, Sequence) and len(col) == n for col in cols):
@@ -180,11 +200,14 @@ def lll_with_transform(cols: Sequence[Column]) -> Tuple[List[List[int]], Columns
     def embed(zcol: List[int]) -> List[float]:
         return [fsum(map(mul, row, zcol)) for row in rows]
 
-    return reduce_embedded(embed, m)
+    z, b, _ = reduce_embedded(embed, m)
+    return z, b
 
 
 def _walk(cols: Sequence[Column], radius: float, budget: int,
-          leaf: Callable[[List[int]], Optional[float]], box: Optional[float] = None) -> None:
+          leaf: Callable[[List[int]], Optional[float]], box: Optional[float] = None,
+          run: Optional[Callable[[List[int], int, int], float]] = None,
+          gs: Optional[GramSchmidt] = None) -> None:
     """Call leaf(z) for every integer z != 0 with ||sum_i z_i cols[i]|| <= radius,
     one per +/- pair (the highest-index nonzero entry of z is positive); z is
     the walk's own list.  leaf returns the box radius r for the rest of the
@@ -194,10 +217,16 @@ def _walk(cols: Sequence[Column], radius: float, budget: int,
     clip: level 0 keeps the z_0 with |p_k + z_0 b_0k| <= r + 1e-9 |p_k| for
     all k, p = sum_{j>=1} z_j b_j.  Both widen the interval ends by 1e-12, as
     the ball test does; callers give r 1e-9 relative to spare for rounding.
+
+    With a box, run(z, lo, hi) takes the place of leaf for each run of at
+    least _LONG_RUN candidates: the z_0 = lo..hi of z (z_1.. fixed, z_0 left
+    0) that a level-0 node keeps after the clip and the sign rule, none of
+    them tested against the ball (see the module docstring).  It returns
+    the box as leaf does.  gs, if given, is gram_schmidt(cols).
     """
     if not (radius >= 0 and math.isfinite(radius * radius)):
         raise InputError(f"radius must be nonnegative with a finite square, got {radius!r}")
-    bstar, mu, norms2 = gram_schmidt(cols)
+    bstar, mu, norms2 = gram_schmidt(cols) if gs is None else gs
     m = len(norms2)
     # the center at a level is minus the sum of mu[j][level] * z_j over j > level
     weights = [[mu[j][level] for j in range(level + 1, m)] for level in range(m)]
@@ -225,6 +254,15 @@ def _walk(cols: Sequence[Column], radius: float, budget: int,
                     hi = min(hi, math.floor(c + w + 1e-12))
                 elif abs(pk) > r:
                     return
+            if run is not None and hi - lo + 1 >= _LONG_RUN:
+                nodes += hi - lo + 1
+                if nodes > budget:
+                    raise BudgetError(f"enumeration exceeded the node budget ({budget})")
+                if not nonzero_above:
+                    lo = max(lo, 1)  # z = 0 is no candidate
+                if lo <= hi:
+                    box = run(zvec, lo, hi)
+                return
         slack = remaining + 1e-9 * (1.0 + remaining)
         for zi in range(lo, hi + 1):
             nodes += 1
@@ -268,15 +306,18 @@ def sup_first_minimum(
     sup_of: Callable[[List[int]], float],
     box_radius: float,
     budget: int = DEFAULT_NODE_BUDGET,
+    score_run: Optional[RunScorer] = None,
+    gs: Optional[GramSchmidt] = None,
 ) -> Tuple[float, int]:
     """(first minimum of the sup norm, number of nonzero lattice vectors v
     with sup_norm(v) <= box_radius) for a reduced embedded lattice.
 
-    b comes from reduce_embedded.  sup_of evaluates the sup norm of the
-    lattice vector with coefficients zc in the reduced basis, the columns
-    b[i], exactly where it matters (the flow experiments recompute the
-    expanding coordinate without cancellation), so each candidate of the
-    enumeration is scored from its coefficients directly.  One walk serves
+    b comes from reduce_embedded, and gs, if given, is its Gram-Schmidt
+    rows.  sup_of evaluates the sup norm of the lattice vector with
+    coefficients zc in the reduced basis, the columns b[i], exactly where it
+    matters (the flow experiments recompute the expanding coordinate
+    without cancellation), so each candidate of the enumeration is scored
+    from its coefficients directly.  One walk serves
     both numbers: it keeps the vectors of sup norm at most
     r = max(best, limit) (1 + 1e-9), best the float sup of the shortest
     column until a leaf scores lower (that column is a leaf too), so the
@@ -285,6 +326,14 @@ def sup_first_minimum(
     sup is at most limit = box_radius (1 + 1e-9), a margin relative to the
     radius, so a tiny box counts no vector far outside it.  The count is
     always even, since v and -v land in the box together.
+
+    score_run, if given, scores a run (the module docstring) at once:
+    score_run(zc, lo, hi, limit) returns (the least sup_of, the number of
+    sup_of at most limit) over the candidates zc with zc[0] = lo..hi, given
+    with zc[0] = 0; limit is the same in every call of a walk.
+    Candidates of a run outside the Euclidean ball change neither number:
+    their sup exceeds the walk's first box, so it exceeds both the first
+    minimum and limit.
     """
     if not box_radius > 0:
         raise InputError("box radius must be positive")
@@ -303,7 +352,15 @@ def sup_first_minimum(
             half += 1
         return max(min(best, top), limit) * (1.0 + 1e-9)
 
-    _walk(b, box * math.sqrt(len(b[0])), budget, leaf, box)
+    def run(zc: List[int], lo: int, hi: int) -> float:
+        nonlocal best, half
+        low, count = score_run(zc, lo, hi, limit)
+        best = min(best, low)
+        half += count
+        return max(min(best, top), limit) * (1.0 + 1e-9)
+
+    _walk(b, box * math.sqrt(len(b[0])), budget, leaf, box,
+          None if score_run is None else run, gs)
     return best, 2 * half
 
 

@@ -336,32 +336,51 @@ def test_flow_kernel_box_count_matches_matrix_path():
 
 
 def _walk_dropping_one_box_vector(radius):
-    """reduction._walk whose leaf callback skips the first vector that lies
-    well inside the box of the given radius, as a walk that prunes one node
-    too many would."""
+    """reduction._walk that skips the first vector that lies well inside the
+    box of the given radius, as a walk that prunes one node too many would:
+    a leaf is not scored, or a scored run is split around it."""
     real = reduction._walk
 
-    def walk(cols, ball, budget, leaf, box=None):
+    def walk(cols, ball, budget, leaf, box=None, run=None, gs=None):
         dropped, last = False, box
+
+        def inside(z):
+            sup = max(abs(sum(zi * col[k] for zi, col in zip(z, cols)))
+                      for k in range(len(cols[0])))
+            return sup < radius * (1 - 1e-6)
 
         def lossy(z):
             nonlocal dropped, last
-            sup = max(abs(sum(zi * col[k] for zi, col in zip(z, cols)))
-                      for k in range(len(cols[0])))
-            if not dropped and sup < radius * (1 - 1e-6):
+            if not dropped and inside(z):
                 dropped = True
                 return last
             last = leaf(z)
             return last
 
-        real(cols, ball, budget, lossy, box)
+        def lossy_run(z, lo, hi):
+            nonlocal dropped, last
+            pieces = [(lo, hi)]
+            for z0 in range(lo, hi + 1) if not dropped else ():
+                if inside([z0] + z[1:]):
+                    dropped = True
+                    pieces = [(lo, z0 - 1), (z0 + 1, hi)]
+                    break
+            for first, end in pieces:
+                if first <= end:
+                    last = run(z, first, end)
+            return last
+
+        real(cols, ball, budget, lossy, box, run and lossy_run, gs)
 
     return walk
 
 
-def test_the_box_count_oracle_catches_a_walk_that_drops_a_box_vector(monkeypatch):
+@pytest.mark.parametrize("long_run", [reduction._LONG_RUN, 1], ids=["long-runs", "every-run"])
+def test_the_box_count_oracle_catches_a_walk_that_drops_a_box_vector(monkeypatch, long_run):
     """The comparison above fails on every case with a nonzero count once
-    the walk loses one vector of the box."""
+    the walk loses one vector of the box, from a leaf or from a run scored
+    at once (every run is, at long_run = 1)."""
+    monkeypatch.setattr(reduction, "_LONG_RUN", long_run)
     counted = 0
     for t, v1, v2, radius in _box_count_cases():
         want = oracles.box_count_naive_n3(t, v1, v2, radius)
@@ -371,6 +390,136 @@ def test_the_box_count_oracle_catches_a_walk_that_drops_a_box_vector(monkeypatch
         assert got == want - 2 if want else got == 0
         counted += bool(want)
     assert counted
+
+
+def _point_scored(sup_of, zc, lo, hi, limit):
+    """(least sup, count within limit) of the run zc[0] = lo..hi, scoring
+    every candidate with the point scorer."""
+    scores = [sup_of([z0] + list(zc[1:])) for z0 in range(lo, hi + 1)]
+    return min(scores), sum(s <= limit for s in scores)
+
+
+def _checked_runs(monkeypatch):
+    """Every run that sup_first_minimum scores at once is also scored point
+    by point, and the two must agree; returns the (run length, count) of
+    each run checked."""
+    checked = []
+    real = reduction.sup_first_minimum
+
+    def checking(b, sup_of, box_radius, budget, score_run=None, gs=None):
+        def checked_run(zc, lo, hi, limit):
+            got = score_run(zc, lo, hi, limit)
+            assert got == _point_scored(sup_of, zc, lo, hi, limit), (zc, lo, hi)
+            checked.append((hi - lo + 1, got[1]))
+            return got
+
+        return real(b, sup_of, box_radius, budget, score_run and checked_run, gs)
+
+    monkeypatch.setattr(reduction, "sup_first_minimum", checking)
+    return checked
+
+
+def test_a_run_scores_as_its_candidates_do_on_real_walks(monkeypatch):
+    """On every run of the golden cases' walks at seeds 1 and 2 (each scored
+    at once here, however short) and on the 40,688-candidate run of the rational line at
+    t = 12, the run scorer's (least sup, count) is the point scorer's over
+    every candidate of the run."""
+    checked = _checked_runs(monkeypatch)
+    monkeypatch.setattr(reduction, "_LONG_RUN", 1)
+    for (data, grid, radius, samples), seed in itertools.product(test_golden.CASES.values(),
+                                                                 (1, 2)):
+        translate_experiment(curve_from_json(data), [float(t) for t in grid.split(",")],
+                             samples=samples, eps=0.1, box_radius=float(radius), seed=seed)
+    assert len(checked) >= 600 and max(length for length, _ in checked) >= 100
+    rep = translate_experiment(curve_from_json(test_golden.RATIONAL_LINE), [12.0], samples=1,
+                               eps=0.1, box_radius=1.5, seed=1)
+    assert rep.rows[0].siegel_count == 2 * 40_688
+    assert max(count for _, count in checked) == 40_688
+
+
+# name -> (e_head, e_tail, q, heads, tails, limit, zc, lo, hi); the columns of
+# a 3-dimensional basis, heads[i] / q the head of column i and tails[j][i]
+# its tail coordinate j
+HAND_RUNS = {
+    "zero head step": (4.0, 0.25, 7, [0, 3, 5], [(2, 1, 0), (-6, 0, 1)], 1.5,
+                       [0, 1, -1], -9, 9),
+    "constant tail coordinate": (4.0, 0.25, 7, [1, 3, 5], [(0, 1, 0), (2, 0, 1)], 1.5,
+                                 [0, 2, 1], -9, 9),
+    "negative directions": (4.0, 0.25, 7, [-2, 3, 5], [(-1, 1, 0), (-3, 0, 1)], 1.5,
+                            [0, 1, 2], -9, 9),
+    "first column's own line": (4.0, 0.25, 7, [1, 3, 5], [(2, 1, 0), (-1, 0, 1)], 1.5,
+                                [0, 0, 0], 1, 12),
+    # the tail maximum max(5, |z_0|) is flat on [-5, 5], where the head
+    # (z_0 - 3) / 1000 is least at z_0 = 3
+    "flat-bottomed tail maximum": (1.0, 0.25, 1000, [1, -3, 0], [(0, 5, 0), (1, 0, 0)], 1.5,
+                                   [0, 1, 0], -9, 9),
+    # the head z_0 / 4, the tail |z_0| / 4 and the constant tail 6 / 4 reach
+    # the limit 1.5 exactly, the first two at z_0 = +-6
+    "a score equal to the limit": (1.0, 0.25, 4, [1, 0, 0], [(1, 0, 0), (0, 6, 0)], 1.5,
+                                   [0, 1, 0], -8, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_RUNS))
+def test_a_hand_built_run_scores_as_its_candidates_do(name):
+    e_head, e_tail, q, heads, tails, limit, zc, lo, hi = HAND_RUNS[name]
+    sup_of, score_run = experiments._flow_scorers(e_head, e_tail, q, heads, tails)
+    assert score_run(zc, lo, hi, limit) == _point_scored(sup_of, zc, lo, hi, limit)
+
+
+def test_random_runs_score_as_their_candidates_do():
+    """Random integer bases of 2 to 5 columns, heads over q up to 2^90 (as
+    the 80-bit radicals make them), scales across many binades and limits
+    that are often a candidate's own score."""
+    rng = random.Random(29)
+    for _ in range(3000):
+        n = rng.randint(2, 5)
+        q = rng.choice([1, rng.randint(2, 50), rng.randint(2**80, 2**90)])
+        span = max(q // 7, 3)
+        heads = [rng.choice([0, rng.randint(-span, span)]) for _ in range(n)]
+        tails = [[rng.choice([0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n - 1)]
+        e_head = 2.0 ** rng.uniform(-8, 8)
+        e_tail = 2.0 ** rng.uniform(-8, 2)
+        zc = [0] + [rng.randint(-5, 5) for _ in range(n - 1)]
+        lo = rng.randint(-30, 10)
+        hi = lo + rng.randint(0, 40)
+        sup_of, score_run = experiments._flow_scorers(e_head, e_tail, q, heads, tails)
+        limit = rng.choice([2.0 ** rng.uniform(-6, 6),
+                            sup_of([rng.randint(lo, hi)] + zc[1:])])
+        if limit > 0:
+            assert score_run(zc, lo, hi, limit) == _point_scored(sup_of, zc, lo, hi, limit), \
+                (e_head, e_tail, q, heads, tails, limit, zc, lo, hi)
+
+
+def test_a_cusp_row_costs_a_few_evaluations_not_one_per_box_point(monkeypatch):
+    """On the rational line at t = 10 the box holds 11,012 points, on a few
+    long runs of multiples of the short vector; a row scores a few dozen
+    candidates exactly (point scores, two per run and one per bisection
+    step), where scoring each box point would cost over 5,000."""
+    evals = []
+    real = reduction.sup_first_minimum
+    bisect = experiments._first_true
+
+    def counted(b, sup_of, box_radius, budget, score_run=None, gs=None):
+        def point(zc):
+            evals.append(1)
+            return sup_of(zc)
+
+        def run(zc, lo, hi, limit):
+            evals.extend([1, 1])
+            return score_run(zc, lo, hi, limit)
+
+        return real(b, point, box_radius, budget, score_run and run, gs)
+
+    def first_true(pred, lo, hi):
+        return bisect(lambda z0: evals.append(1) or pred(z0), lo, hi)
+
+    monkeypatch.setattr(reduction, "sup_first_minimum", counted)
+    monkeypatch.setattr(experiments, "_first_true", first_true)
+    rep = translate_experiment(curve_from_json(test_golden.RATIONAL_LINE), [10.0], samples=6,
+                               eps=0.1, box_radius=1.5, seed=1)
+    assert [r.siegel_count for r in rep.rows] == [11_012] * 6
+    assert len(evals) <= 40 * len(rep.rows)
 
 
 def _phi_80(p):

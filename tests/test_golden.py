@@ -98,6 +98,37 @@ def test_translate_rows_match_the_recorded_run(name, tmp_path):
                 assert got[key] == want[key], (key, got, want)
 
 
+# name -> (the least node budget that runs the case, the sample and t whose
+# walk needs all of it); each walk counts every candidate it clips to, one
+# node each, whether it scores them one at a time or a run of them at once
+LEAST_BUDGETS = {
+    "parabola": (25, 2, 6.0),
+    "moment4": (36, 1, 6.0),
+    "moment6": (105, 5, 1.0),
+    "moment4_t16": (108, 5, 16.0),
+    "rational_line": (103, 0, 6.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_the_least_node_budget_of_each_case_is_pinned(name, tmp_path, capsys):
+    """The case runs within its least budget, and one node less exits 3
+    naming the walk that ran out."""
+    curve, t_grid, radius, samples = CASES[name]
+    budget, sample, t = LEAST_BUDGETS[name]
+    curve_path = os.path.join(str(tmp_path), f"{name}.json")
+    with open(curve_path, "w") as fh:
+        json.dump(curve, fh)
+    argv = ["sim", "translate", "--curve", curve_path, "--t", t_grid, "--samples", str(samples),
+            "--seed", "1", "--radius", radius, "--out", os.path.join(str(tmp_path), "rows.csv")]
+    assert cli.main(argv + ["--budget", str(budget)]) == 0
+    capsys.readouterr()
+    assert cli.main(argv + ["--budget", str(budget - 1)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sample {sample}, t = {t!r} "), err
+    assert err.rstrip().endswith(f"enumeration exceeded the node budget ({budget - 1})"), err
+
+
 def test_moment4_at_large_t_is_near_haar(tmp_path):
     """Shah's theorem for the non-degenerate moment curve: at t = 16 the
     mean box count is within criterion 4's 15% of Haar, (2 R)^4 = 81."""

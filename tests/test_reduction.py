@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import oracles
+import test_golden
 from latflow.errors import BudgetError, InputError
 from latflow.exact import ExactScalar
-from latflow.flows import Curve, curve_eval
+from latflow.flows import Curve, curve_eval, curve_from_json
 from latflow.lab import reduction
 from latflow.lab.experiments import (
     _flow_stats,
@@ -153,7 +154,7 @@ def _sup_of(basis, z):
 def _box_count(basis, radius):
     """Siegel count of the columns' lattice through the embedded pipeline."""
     basis = np.asarray(basis, dtype=float)
-    z, b = reduce_embedded(_embedding(basis), basis.shape[1])
+    z, b, _ = reduce_embedded(_embedding(basis), basis.shape[1])
     return sup_first_minimum(b, _sup_of(basis, z), radius)[1]
 
 
@@ -261,9 +262,9 @@ def test_sup_box_walk_matches_an_unpruned_enumeration_on_flow_bases(n, monkeypat
     seen = []
     real = reduction.sup_first_minimum
 
-    def recorded(b, sup_of, box_radius, budget):
+    def recorded(b, sup_of, box_radius, budget, score_run=None, gs=None):
         seen.append((b, sup_of, box_radius))
-        return real(b, sup_of, box_radius, budget)
+        return real(b, sup_of, box_radius, budget, score_run, gs)
 
     monkeypatch.setattr(reduction, "sup_first_minimum", recorded)
     one = ExactScalar(1)
@@ -290,8 +291,9 @@ def test_sup_box_walk_scores_little_beyond_the_box(monkeypatch):
     calls = []
     real = reduction.sup_first_minimum
 
-    def counted(b, sup_of, box_radius, budget):
-        return real(b, lambda zc: calls.append(1) or sup_of(zc), box_radius, budget)
+    def counted(b, sup_of, box_radius, budget, score_run=None, gs=None):
+        return real(b, lambda zc: calls.append(1) or sup_of(zc), box_radius, budget,
+                    score_run, gs)
 
     monkeypatch.setattr(reduction, "sup_first_minimum", counted)
     one = ExactScalar(1)
@@ -351,7 +353,7 @@ def test_embedded_reduction_round_trip():
         if abs(np.linalg.det(basis)) < 0.3:
             continue
         embed = _embedding(basis)
-        z, b = reduce_embedded(embed, n)
+        z, b, _ = reduce_embedded(embed, n)
         # column i of b is the embedding of the coordinate row z[i]
         for i in range(n):
             assert b[i] == embed(z[i])
@@ -430,7 +432,7 @@ def test_lll_kernel_matches_full_recompute_oracle_bit_for_bit():
     sweep must reach the same z and the same float bits."""
     for ncols, embed, basis in _lll_cases():
         z_ref, b_ref = oracles.lll_full_recompute(embed, ncols)
-        z, b = reduce_embedded(embed, ncols)
+        z, b, _ = reduce_embedded(embed, ncols)
         assert z == z_ref
         assert _matrix(b).tobytes() == b_ref.tobytes()
         if basis is not None:
@@ -447,10 +449,10 @@ def test_warm_started_lll_matches_full_recompute_oracle_bit_for_bit():
         for t in (1.5, 2.0, 4.0, 8.0, 12.0):
             for _ in range(4):
                 s = Fraction(int(rng.integers(-997, 998)), 997)
-                start, _ = reduce_embedded(_flow_embed(n, t - 1.0, s), n)
+                start, _, _ = reduce_embedded(_flow_embed(n, t - 1.0, s), n)
                 embed = _flow_embed(n, t, s)
                 z_ref, b_ref = oracles.lll_full_recompute(embed, n, start)
-                z, b = reduce_embedded(embed, n, start)
+                z, b, _ = reduce_embedded(embed, n, start)
                 assert z == z_ref
                 assert _matrix(b).tobytes() == b_ref.tobytes()
                 _assert_lll_reduced(b)
@@ -466,6 +468,37 @@ def test_lll_with_transform_embeds_by_fsum_bit_for_bit():
         z, b = lll_with_transform(_cols(basis))
         want = [[math.fsum(map(mul, row, zi)) for row in basis.tolist()] for zi in z]
         assert np.array(b).tobytes() == np.array(want).tobytes()
+
+
+def _bits(rows):
+    """The doubles of nested lists as their hex strings, so -0.0 and 0.0
+    differ and a comparison is bit for bit."""
+    return [_bits(r) for r in rows] if isinstance(rows, list) else float(rows).hex()
+
+
+def test_the_walk_is_handed_the_reductions_gram_schmidt_rows(monkeypatch):
+    """Every reduction of the golden cases and of moment6 at t = 1, 2, 3
+    hands the walk Gram-Schmidt rows equal to gram_schmidt of its columns
+    bit for bit, and the flow walk computes none of its own: gram_schmidt
+    runs once per reduction, at its start."""
+    handed, calls = [], []
+    real_reduce, real_gs = reduction.reduce_embedded, reduction.gram_schmidt
+
+    def recorded(embed, ncols, start=None):
+        handed.append(real_reduce(embed, ncols, start))
+        return handed[-1]
+
+    monkeypatch.setattr(reduction, "reduce_embedded", recorded)
+    monkeypatch.setattr(reduction, "gram_schmidt", lambda cols: calls.append(1) or real_gs(cols))
+    runs = [(data, grid, float(radius), samples, 1)
+            for data, grid, radius, samples in test_golden.CASES.values()]
+    runs.append((test_golden.CASES["moment6"][0], "1,2,3", 1.0, 10, 2))
+    for data, grid, radius, samples, seed in runs:
+        translate_experiment(curve_from_json(data), [float(t) for t in grid.split(",")],
+                             samples=samples, eps=0.1, box_radius=radius, seed=seed)
+    assert len(calls) == len(handed) > 100
+    for _, b, gs in handed:
+        assert _bits(list(gs)) == _bits(list(real_gs(b)))
 
 
 def test_gram_schmidt_matches_the_oracle_bit_for_bit():
@@ -484,5 +517,5 @@ def test_gram_schmidt_matches_the_oracle_bit_for_bit():
 def test_lll_kernel_output_is_lll_reduced():
     # lll_with_transform returns these same bits (test above)
     for ncols, embed, _ in _lll_cases():
-        _, b = reduce_embedded(embed, ncols)
+        _, b, _ = reduce_embedded(embed, ncols)
         _assert_lll_reduced(b)
