@@ -4,7 +4,9 @@ Membership in the approximation sets W_r / W'_r (inhomogeneous form
 ||A q + p|| <= C ||q||^(-r), sup norms) can only be certified exactly for
 rational targets; everything else is graded evidence from finite searches.
 Float targets are ranked in floats and rational targets on exact integer
-residuals; exact arithmetic confirms certificates.
+residuals; exact arithmetic confirms certificates. A search over two or more
+columns ranks its small shells in one batch, a cube of at most 2^16 points,
+and each larger shell in one call.
 """
 
 from __future__ import annotations
@@ -116,21 +118,58 @@ def _search(af, form, qmax: int, budget: int) -> List[ApproxRecord]:
 
 
 def _shell_walk(af, form, qmax) -> List[ApproxRecord]:
+    """The records of an l >= 2 column target over the shells 1..qmax: a
+    shell's least rank key is a record when it beats every smaller shell's,
+    and a tie goes to the least sign-normalized q among the shell's hits.
+    The walk stops at an exact zero."""
+    import numpy as np
     ell = af.shape[1]
     scaled = _scaled_target(form, qmax, ell)
     records: List[ApproxRecord] = []
     best = math.inf
-    for h in range(1, qmax + 1):
-        qs = _shell_points(h, ell)
-        keys = _residual_keys(qs, af, scaled)
-        low = keys.min()
+    for h, low, qs, keys, norms in _shell_minima(af, scaled, qmax):
         if low < best:
             best = low
-            q = min(_sign_normalized(c) for c in qs[keys == low].tolist())
+            hits = np.flatnonzero(keys == low)
+            if norms is not None:  # a batch also holds the other small shells
+                hits = hits[norms[hits] == h]
+            q = min(_sign_normalized(c) for c in qs[hits].tolist())
             records.append(_record(af, scaled, h, q, low))
             if records[-1].exact_zero:
                 break
     return records
+
+
+# the most points of a cube [-h1, h1]^l that the walk ranks in one batch
+_BATCH_POINTS = 1 << 16
+
+
+def _shell_minima(af, scaled, qmax):
+    """(h, least key, qs, keys, norms) for h = 1..qmax: qs holds one q of
+    each +-q pair of shell h and keys their rank keys. The shells up to the
+    largest radius h1 whose cube holds at most _BATCH_POINTS points share one
+    batch: the second half of the cube in C order, the q > 0 in lex order
+    (entry i is minus entry N-1-i), with norms its sup norms. Each later
+    shell is one _shell_points array, with norms None."""
+    import numpy as np
+    ell = af.shape[1]
+    h1 = 0
+    while h1 < qmax and (2 * h1 + 3) ** ell <= _BATCH_POINTS:
+        h1 += 1
+    if h1:
+        # int32: half the memory of int64, which sets most of the batch's time
+        cube = np.indices((2 * h1 + 1,) * ell, dtype=np.int32).reshape(ell, -1)
+        qs = (cube[:, cube.shape[1] // 2 + 1:] - h1).T
+        keys = _residual_keys(qs, af, scaled)
+        norms = np.abs(qs).max(axis=1)
+        lows = np.full(h1 + 1, keys.max(), dtype=keys.dtype)
+        np.minimum.at(lows, norms, keys)
+        for h in range(1, h1 + 1):
+            yield h, lows[h], qs, keys, norms
+    for h in range(h1 + 1, qmax + 1):
+        qs = _shell_points(h, ell)
+        keys = _residual_keys(qs, af, scaled)
+        yield h, keys.min(), qs, keys, None
 
 
 def _shell_points(h: int, ell: int):

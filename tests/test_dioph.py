@@ -1,8 +1,10 @@
 """Best approximations, exponent fits, membership probes, Dirichlet systems."""
 
+import importlib
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,11 +160,14 @@ def test_exact_ties_are_not_records(target, qmax, shells):
     assert [r.qnorm for r in _check_rational_records(a, qmax)] == shells
 
 
+# 2^61 - 1 is prime, so L = 3 (2^61 - 1) and N q reaches 2^64
+BEYOND_INT64 = [[Fraction(1180180315279482015, 2**61 - 1), Fraction(2, 3)]]
+
+
 def test_rational_ranking_beyond_int64():
     """Products N q that would wrap in int64 are ranked in Python ints (in
     int64 this target lists shell 4 instead of shell 3)."""
-    big = 2**61 - 1  # prime, so L = 3 big and N q reaches 2^64
-    a = [[Fraction(1180180315279482015, big), Fraction(2, 3)]]
+    a = BEYOND_INT64
     recs = best_approximations(ExactMatrix(a), 4)
     want = oracles.best_approximations_naive(a, 4)
     assert [(r.qnorm, r.q, r.p) for r in recs] == [w[:3] for w in want]
@@ -186,6 +191,88 @@ def test_walk_ranks_one_q_per_pair(monkeypatch):
         pairs = {min(tuple(q), tuple(-c for c in q)) for q in pts}
         assert len(pairs) == len(pts)
         assert all(0 < max(map(abs, q)) <= qmax for q in pts)
+
+
+def _fields(recs):
+    return [(r.qnorm, r.q, r.p, r.residual.hex(), r.exact_zero) for r in recs]
+
+
+@pytest.mark.parametrize("cap", [9, 49, 125])
+def test_records_do_not_depend_on_the_batch_cap(monkeypatch, cap):
+    """With the batch cut to a cube of at most `cap` points (radius 1, 3
+    and 5 at two columns, 1, 1 and 2 at three), searches whose qmax crosses
+    from the batch into the per-shell tail list the whole-cube scan's
+    records, field for field the records of the default batch."""
+    rng = np.random.default_rng(59)
+    floats = [(rng.uniform(-1, 1, size=(m, ell)).tolist(), qmax)
+              for ell, m, qmax in ((2, 1, 9), (2, 2, 9), (3, 1, 4), (3, 2, 4))
+              for _ in range(3)]
+    rationals = [
+        ([[Fraction(1, 3), Fraction(2, 5)]], 9),  # certificate at shell 3
+        ([[Fraction(2, 7), Fraction(1, 3)], [Fraction(3, 5), Fraction(1, 2)]], 9),  # at 35
+        ([[Fraction(5, 6), Fraction(1, 3)]], 9),  # the walk's zero q = (0, 3)
+        ([[Fraction(2, 9), Fraction(4, 7), Fraction(1, 2)]], 4),  # at 9
+        ([[Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)]], 4),  # at 2
+        (BEYOND_INT64, 4),
+    ]
+    default = [_fields(best_approximations(a, qmax)) for a, qmax in floats]
+    default += [_fields(best_approximations(ExactMatrix(a), qmax)) for a, qmax in rationals]
+    monkeypatch.setattr(dioph, "_BATCH_POINTS", cap)
+    got = []
+    for a, qmax in floats:
+        recs = best_approximations(a, qmax)
+        want = oracles.best_approximations_naive(a, qmax)
+        assert [(r.qnorm, r.q, r.p) for r in recs] == [w[:3] for w in want]
+        got.append(_fields(recs))
+    got += [_fields(_check_rational_records(a, qmax)) for a, qmax in rationals]
+    assert got == default
+
+
+def test_batched_keys_equal_the_shell_keys(monkeypatch, tmp_path):
+    """Every q of the walk's batch gets, bit for bit, the key its own shell
+    gives it through _shell_points, on the exact_mix deck's targets at seeds
+    1 and 7 and on random targets with the batch at full size; a BLAS kernel
+    that rounds the larger product differently fails here."""
+    rng = np.random.default_rng(60)
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    # every `dioph approx` call of two or more columns in the decks
+    cases = [([[float(x) for x in call.meta["target"]]], call.meta["qmax"])
+             for seed in (1, 7) for call in workloads.build("exact_mix", seed, str(tmp_path), None)
+             if call.argv[:2] == ["dioph", "approx"] and len(call.meta["target"]) > 1]
+    assert sorted({(len(a[0]), qmax) for a, qmax in cases}) == [(2, 60), (3, 15)]
+    cases += [(rng.uniform(-1, 1, size=(m, ell)) * scale, 200)
+              for ell, m, scale in ((2, 1, 1.0), (2, 2, 1e5), (3, 1, 1e-4), (3, 2, 1.0))]
+    for a, qmax in cases:
+        af = np.asarray(a, dtype=float)
+        _, _, qs, keys, norms = next(dioph._shell_minima(af, None, qmax))
+        batched = {tuple(q): k.hex() for q, k in zip(qs.tolist(), keys.tolist())}
+        ell, h1 = af.shape[1], int(norms.max())
+        assert len(batched) == ((2 * h1 + 1) ** ell - 1) // 2
+        assert h1 == min(qmax, 127 if ell == 2 else 19)
+        for h in range(1, h1 + 1):
+            shell = dioph._shell_points(h, ell)
+            for q, k in zip(shell.tolist(), dioph._residual_keys(shell, af, None).tolist()):
+                assert batched[dioph._sign_normalized(q)] == k.hex()
+
+
+def test_no_key_call_exceeds_the_batch(monkeypatch):
+    """The pinned search `dioph approx --a 0.41421356,0.73205081 --qmax 300`,
+    whose cube exceeds the batch cap, ranks the batch and then one shell at
+    a time: no _residual_keys call gets more rows than half the cap, and
+    together they rank the whole half cube."""
+    keys, rows = dioph._residual_keys, []
+
+    def counting(qs, af, scaled):
+        rows.append(len(qs))
+        return keys(qs, af, scaled)
+
+    monkeypatch.setattr(dioph, "_residual_keys", counting)
+    best_approximations([[0.41421356, 0.73205081]], 300)
+    assert 601**2 > dioph._BATCH_POINTS
+    assert rows[0] == (255**2 - 1) // 2 and len(rows) == 1 + 300 - 127
+    assert max(rows) <= dioph._BATCH_POINTS // 2
+    assert sum(rows) == (601**2 - 1) // 2
 
 
 def test_p_is_nearest_integer():
