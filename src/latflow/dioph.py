@@ -180,15 +180,12 @@ def _shell_points(h: int, ell: int):
     coordinate of absolute value h is positive.
     """
     import numpy as np
-    inner, full = np.arange(1 - h, h), np.arange(-h, h + 1)
-    faces = [
-        np.stack(
-            np.meshgrid(*[inner] * j, [h], *[full] * (ell - 1 - j), indexing="ij"),
-            axis=-1,
-        ).reshape(-1, ell)
-        for j in range(ell)
-    ]
-    return np.concatenate(faces)
+    faces = []
+    for j in range(ell):
+        shape = (2 * h - 1,) * j + (1,) + (2 * h + 1,) * (ell - 1 - j)
+        offset = np.array([1 - h] * j + [h] + [-h] * (ell - 1 - j))
+        faces.append(np.indices(shape).reshape(ell, -1) + offset[:, None])
+    return np.concatenate(faces, axis=1).T
 
 
 def _sign_normalized(q: Sequence[int]) -> Tuple[int, ...]:

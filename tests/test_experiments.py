@@ -27,6 +27,7 @@ from latflow.lab.experiments import (
     sample_ball,
     translate_experiment,
 )
+from latflow.lab.grids import Grid3
 from latflow.lab.kfield import quadratic_subspace_example
 from latflow.lab.reduction import DEFAULT_NODE_BUDGET
 
@@ -333,6 +334,20 @@ def test_flow_kernel_box_count_matches_matrix_path():
     for t, v1, v2, radius in _box_count_cases():
         assert _stats_n3(t, v1, v2, radius)[1] == oracles.box_count_naive_n3(
             t, v1, v2, radius)
+
+
+@pytest.mark.parametrize("name", ["parabola", "rational_line"])
+def test_grid3_gives_the_rows_of_sim_translate(name):
+    """lab.grids.Grid3 is the flow kernel under the tracer's names: at phi(s)
+    of each row it gives the row's lambda1 and box count bit for bit."""
+    curve = curve_from_json(test_golden.CASES[name][0])
+    report = translate_experiment(curve, [0.0, 1.0, 2.0], 4, 0.2, 1.5, seed=1)
+    assert len(report.rows) == 12
+    for row in report.rows:
+        s_point = [p.a for p in curve_eval(curve, [Fraction(x) for x in row.s])]
+        grid = Grid3(row.t, 1.5)
+        assert grid.lambda1_sup(*s_point).hex() == row.lambda1.hex()
+        assert grid.box_count(*s_point) == row.siegel_count
 
 
 def _walk_dropping_one_box_vector(radius):

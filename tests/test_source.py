@@ -78,12 +78,15 @@ def _numpy_imports(name, nodes):
 
 
 def test_lattice_layer_imports_no_numpy():
-    """The reduction and the descent take and return bases as lists of
-    float columns, and the experiments draw their samples from a pure-Python
-    Philox stream, so they import no numpy."""
+    """No module of latflow.lab imports numpy, not even inside a function:
+    the reduction and the descent take and return bases as lists of float
+    columns, the experiments draw their samples from a pure-Python Philox
+    stream, and Grid3 computes through the experiments' flow kernel."""
+    paths = sorted((SRC / "lab").rglob("*.py"))
+    assert len(paths) > 6
     found = []
-    for name in ("reduction.py", "descent.py", "experiments.py"):
-        found += _numpy_imports(name, ast.walk(ast.parse((SRC / "lab" / name).read_text())))
+    for path in paths:
+        found += _numpy_imports(path.relative_to(SRC), ast.walk(ast.parse(path.read_text())))
     assert found == []
 
 
